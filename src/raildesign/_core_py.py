@@ -1,12 +1,10 @@
-"""Pure-Python propagation engine for the branch-and-bound search.
+"""Propagation engine for the branch-and-bound search.
 
 Works on a system of <=-rows with integer coefficients over binary
 variables.  Keeps, per row, the minimum and maximum achievable left-hand
 side under the current partial assignment; fixing a variable triggers a
 bound update, a conflict check, and unit-style forcing of other
 variables.  A trail records every change so the search can backtrack.
-
-The compiled twin in ``_core.pyx`` implements the identical contract.
 """
 
 from __future__ import annotations

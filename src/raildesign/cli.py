@@ -1,12 +1,10 @@
-"""Command-line front end: solve, verify, export-lp, gen-x3c, bench."""
+"""Command-line front end: solve, verify, export-lp, gen-x3c."""
 
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-import time
-from fractions import Fraction
 
 from . import milp, polycases, reduction, solver_bb, verify as verify_mod
 from .model import (InstanceError, cost_to_json, load_instance, load_solution,
@@ -31,13 +29,6 @@ def _load_validated(path, allow_multi_arcs=False):
                   file=sys.stderr)
         return None
     return inst
-
-
-def _limits(args):
-    return solver_bb.SolveLimits(
-        time_limit=args.time_limit,
-        node_limit=args.node_limit,
-    )
 
 
 def _solve_with_mode(inst, mode, limits):
@@ -66,8 +57,10 @@ def cmd_solve(args):
     inst = _load_validated(args.instance)
     if inst is None:
         return EXIT_INPUT
+    limits = solver_bb.SolveLimits(time_limit=args.time_limit,
+                                   node_limit=args.node_limit)
     try:
-        status, sol, stats = _solve_with_mode(inst, args.mode, _limits(args))
+        status, sol, stats = _solve_with_mode(inst, args.mode, limits)
     except polycases.UnsupportedInstance as exc:
         print(f"error: mode {args.mode}: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -136,87 +129,18 @@ def cmd_gen_x3c(args):
     return EXIT_OK
 
 
-def bench_record(label, inst, repetitions, mode="milp", limits=None):
-    """Dimensions plus mean runtime over the given number of repetitions."""
-    from .model import effective_scenarios
-
-    system = milp.build(inst)
-    times = []
-    objective = None
-    status = None
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        status, sol, _stats = _solve_with_mode(inst, mode, limits or solver_bb.SolveLimits())
-        times.append(time.perf_counter() - t0)
-        objective = sol.objective_value if sol is not None else None
-    return {
-        "label": label,
-        "timesteps": inst.horizon + 1,
-        "trains": len(inst.trains),
-        "nodes": len(inst.network.nodes),
-        "arcs": len(inst.network.arcs),
-        "scenarios": "/".join(str(len(s.train_ids)) for s in effective_scenarios(inst)),
-        "runtime_s": sum(times) / len(times),
-        "constraints": len(system.rows),
-        "variables": len(system.variables),
-        "status": status,
-        "objective": cost_to_json(objective) if objective is not None else "",
-    }
-
-
-BENCH_COLUMNS = ["label", "timesteps", "trains", "nodes", "arcs", "scenarios",
-                 "runtime_s", "constraints", "variables", "status", "objective"]
-
-
-def format_bench_table(records):
-    rows = [BENCH_COLUMNS] + [
-        [f"{r[c]:.4f}" if c == "runtime_s" else str(r[c]) for c in BENCH_COLUMNS]
-        for r in records
-    ]
-    widths = [max(len(row[i]) for row in rows) for i in range(len(BENCH_COLUMNS))]
-    lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-             for row in rows]
-    return "\n".join(lines)
-
-
-def cmd_bench(args):
-    records = []
-    for path in args.instances:
-        inst = _load_validated(path)
-        if inst is None:
-            print(f"skipping {path}", file=sys.stderr)
-            continue
-        try:
-            records.append(bench_record(path, inst, args.repetitions, args.mode,
-                                        _limits(args)))
-        except polycases.UnsupportedInstance as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-    print(format_bench_table(records))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write("\t".join(BENCH_COLUMNS) + "\n")
-            for r in records:
-                fh.write("\t".join(str(r[c]) for c in BENCH_COLUMNS) + "\n")
-    return EXIT_OK
-
-
 def build_parser():
     p = argparse.ArgumentParser(prog="raildesign",
                                 description="Exact railway network design under "
                                             "timetable constraints")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--mode", choices=["auto", "milp", "arborescence", "sp"],
-                        default="auto")
-        sp.add_argument("--time-limit", type=float, default=None)
-        sp.add_argument("--node-limit", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1,
-                        help="reserved; only single-threaded search is implemented")
-
     sp = sub.add_parser("solve", help="solve an instance file")
     sp.add_argument("instance")
-    add_common(sp)
+    sp.add_argument("--mode", choices=["auto", "milp", "arborescence", "sp"],
+                    default="auto")
+    sp.add_argument("--time-limit", type=float, default=None)
+    sp.add_argument("--node-limit", type=int, default=None)
     sp.add_argument("-o", "--output", default=None, help="solution file to write")
     sp.set_defaults(func=cmd_solve)
 
@@ -239,21 +163,11 @@ def build_parser():
                     help="encode unit lines as capacity 1 instead of expandable")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(func=cmd_gen_x3c)
-
-    sp = sub.add_parser("bench", help="dimension/runtime table for instance files")
-    sp.add_argument("instances", nargs="+")
-    add_common(sp)
-    sp.add_argument("-R", "--repetitions", type=int, default=4)
-    sp.add_argument("-o", "--output", default=None, help="TSV file to write")
-    sp.set_defaults(func=cmd_bench)
     return p
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) not in (None, 1):
-        print("note: --threads > 1 is not implemented; running single-threaded",
-              file=sys.stderr)
     return args.func(args)
 
 

@@ -297,6 +297,28 @@ def _int(obj, key, where):
     return v
 
 
+def _list(obj, key, where):
+    v = obj.get(key, [])
+    if not isinstance(v, list):
+        raise InstanceError(f"{where}: {key} must be a list, got {v!r}")
+    return v
+
+
+def _objects(data, key):
+    items = _list(data, key, "instance")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise InstanceError(f"{key}[{i}]: expected an object, got {item!r}")
+    return items
+
+
+def _bool(obj, key, where, default):
+    v = obj.get(key, default)
+    if not isinstance(v, bool):
+        raise InstanceError(f"{where}: {key} must be true or false, got {v!r}")
+    return v
+
+
 def instance_from_dict(data: dict) -> Instance:
     _require_keys(
         data,
@@ -309,11 +331,11 @@ def instance_from_dict(data: dict) -> Instance:
         where="instance",
     )
     nodes = []
-    for i, n in enumerate(data["nodes"]):
+    for i, n in enumerate(_objects(data, "nodes")):
         _require_keys(n, ["id", "display_name"], ["id"], f"nodes[{i}]")
         nodes.append(Node(id=n["id"], display_name=n.get("display_name")))
     arcs = []
-    for i, a in enumerate(data["arcs"]):
+    for i, a in enumerate(_objects(data, "arcs")):
         where = f"arcs[{i}]"
         _require_keys(
             a,
@@ -333,13 +355,14 @@ def instance_from_dict(data: dict) -> Instance:
             multiplicity=_int(a, "multiplicity", where) if "multiplicity" in a else 1,
         ))
     entries = {}
-    for i, h in enumerate(data.get("headways", [])):
+    for i, h in enumerate(_objects(data, "headways")):
         where = f"headways[{i}]"
         _require_keys(h, ["from", "to", "v1", "v2", "M"], ["from", "to", "v1", "v2", "M"], where)
         entries[(h["from"], h["to"], h["v1"], h["v2"])] = _int(h, "M", where)
-    headways = HeadwayTable(entries=entries, default=data.get("headway_default", 0))
+    default = _int(data, "headway_default", "instance") if "headway_default" in data else 0
+    headways = HeadwayTable(entries=entries, default=default)
     trains = []
-    for i, t in enumerate(data["trains"]):
+    for i, t in enumerate(_objects(data, "trains")):
         where = f"trains[{i}]"
         _require_keys(
             t,
@@ -354,21 +377,21 @@ def instance_from_dict(data: dict) -> Instance:
             destination=t["destination"],
             earliest_departure=_int(t, "earliest_departure", where),
             latest_arrival=_int(t, "latest_arrival", where),
-            optional=t.get("optional", False),
+            optional=_bool(t, "optional", where, False),
             penalty=_cost_from_json(t["penalty"], where) if t.get("penalty") is not None else None,
-            via_nodes=tuple(t.get("via_nodes", [])),
+            via_nodes=tuple(_list(t, "via_nodes", where)),
         ))
     connections = []
-    for i, c in enumerate(data.get("connections", [])):
+    for i, c in enumerate(_objects(data, "connections")):
         where = f"connections[{i}]"
         _require_keys(c, ["station", "feeder", "connecting"], ["station", "feeder", "connecting"], where)
         connections.append(ConnectionRequirement(station=c["station"], feeder=c["feeder"],
                                                  connecting=c["connecting"]))
     scenarios = []
-    for i, s in enumerate(data.get("scenarios", [])):
+    for i, s in enumerate(_objects(data, "scenarios")):
         where = f"scenarios[{i}]"
         _require_keys(s, ["id", "train_ids"], ["id", "train_ids"], where)
-        scenarios.append(Scenario(id=s["id"], train_ids=tuple(s["train_ids"])))
+        scenarios.append(Scenario(id=s["id"], train_ids=tuple(_list(s, "train_ids", where))))
     return Instance(
         network=Network(nodes=tuple(nodes), arcs=tuple(arcs), headways=headways),
         horizon=_int(data, "horizon", "instance"),
@@ -376,7 +399,7 @@ def instance_from_dict(data: dict) -> Instance:
         connections=tuple(connections),
         scenarios=tuple(scenarios),
         capacity_window=_int(data, "capacity_window", "instance"),
-        allow_dwell=data.get("allow_dwell", True),
+        allow_dwell=_bool(data, "allow_dwell", "instance", True),
     )
 
 

@@ -1,28 +1,27 @@
 """Exact branch-and-bound over the 0-1 constraint system.
 
-Rows are normalized to <= form with integer coefficients and handed to a
-propagation engine (compiled when available, see ``raildesign.kernel``).
+Rows are normalized to <= form with integer coefficients and handed to the
+propagation engine in ``raildesign._core_py``.
 Search is depth-first.  When scipy is available the linear relaxation is
 solved at every node (HiGHS, constant matrices, per-node variable
 bounds): it supplies the lower bound, most-fractional branching, and
 integral vertices as incumbent candidates.  Candidates and bounds are
 always re-validated exactly -- the float LP only guides pruning, never
-certifies feasibility or the final objective.  Without scipy (or with
-RAILDESIGN_NO_LP=1) the bound falls back to the exact rational sum of
-fixed costs plus all still-collectable negative objective coefficients;
-weak but admissible, with pruning power coming from propagation alone.
+certifies feasibility or the final objective.  Without scipy the bound
+falls back to the exact rational sum of fixed costs plus all
+still-collectable negative objective coefficients; weak but admissible,
+with pruning power coming from propagation alone.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .kernel import PropEngine
+from ._core_py import PropEngine
 from .model import RoutedStep, Solution
 
 try:
@@ -101,6 +100,30 @@ def _lp_matrices(system, nvars):
             A_eq, _np.array(eq_b) if eq_b else None)
 
 
+def _follow_walk(arcs, steps, origin, destination):
+    """Follow a train's active route steps from origin to destination.
+
+    ``steps`` holds (t, arc index, var id) in the caller's order; each move
+    takes the first step that leaves the current node at or after the time
+    the train arrived there.  Returns the walk as (arrival, t, arc, var id)
+    tuples, arrival being None on the first move, and the steps left over;
+    or None when no step continues the walk before the destination.
+    """
+    remaining = list(steps)
+    walk = []
+    node, now = origin, None
+    while node != destination:
+        for i, (t, ai, _vid) in enumerate(remaining):
+            if arcs[ai].frm == node and (now is None or t >= now):
+                break
+        else:
+            return None
+        t, ai, vid = remaining.pop(i)
+        walk.append((now, t, arcs[ai], vid))
+        node, now = arcs[ai].to, t + arcs[ai].travel_time
+    return walk, remaining
+
+
 def _trim_assignment(system, assignment):
     """Zero route/dwell activity that is off every train's walk.
 
@@ -123,31 +146,19 @@ def _trim_assignment(system, assignment):
         t = trains[tid]
         steps = sorted((system.variables[v].t, system.variables[v].arc_index, v)
                        for v in vids if system.variables[v].kind == "route")
+        decoded = _follow_walk(net.arcs, steps, t.origin, t.destination)
+        if decoded is None and not t.optional:
+            return None
+        # a broken optional walk is dropped whole; the penalty applies instead
+        walk = decoded[0] if decoded is not None else []
         on_walk = set()
-        node, now = t.origin, None
-        remaining = list(steps)
-        broken = False
-        while node != t.destination:
-            pick = None
-            for i, (tt, ai, _v) in enumerate(remaining):
-                if net.arcs[ai].frm == node and (now is None or tt >= now):
-                    pick = i
-                    break
-            if pick is None:
-                broken = True
-                break
-            tt, ai, v = remaining.pop(pick)
+        for now, tt, arc, v in walk:
             if now is not None:
                 for tau in range(now, tt):
-                    dv = system.var_index.get(("dwell", tid, node, tau))
+                    dv = system.var_index.get(("dwell", tid, arc.frm, tau))
                     if dv is not None:
                         on_walk.add(dv)
             on_walk.add(v)
-            node, now = net.arcs[ai].to, tt + net.arcs[ai].travel_time
-        if broken:
-            if not t.optional:
-                return None
-            on_walk = set()  # drop the fragment; the penalty applies instead
         for v in vids:
             if v not in on_walk:
                 keep[v] = 0
@@ -214,8 +225,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     pruned_bound = None  # min bound among gap-pruned nodes
     hit_limit = False
 
-    use_lp = (_HAVE_LP and nvars >= _LP_MIN_VARS
-              and os.environ.get("RAILDESIGN_NO_LP") != "1")
+    use_lp = _HAVE_LP and nvars >= _LP_MIN_VARS
     if use_lp:
         A_ub, b_ub, A_eq, b_eq = _lp_matrices(system, nvars)
         c_vec = _np.zeros(nvars)
@@ -304,7 +314,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
 
     # Depth-first search, iterative to dodge recursion limits.
     def search():
-        frame_stack = []  # [branch var, values left to try, trail mark, scan hint]
+        frame_stack = []  # [branch var, values left to try, trail mark, scan hint, node bound]
 
         def enter(hint):
             """Process a node; push a frame or record a leaf. Returns False to backtrack."""
@@ -317,15 +327,18 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                 if time.monotonic() - t_start > limits.time_limit:
                     hit_limit = True
                     return False
-            relax = None
+            relax = b = None
             if use_lp:
                 feasible, b, relax = lp_probe()
                 if not feasible:
                     return False
                 if prune_check(b):
                     return False
-            if prune_check(trivial_bound()):
+            node_bound = trivial_bound()
+            if prune_check(node_bound):
                 return False
+            if b is not None:
+                node_bound = max(node_bound, b)
             if node_done():
                 record_leaf()
                 return False
@@ -356,12 +369,12 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                 vals = [first, 1 - first]
             else:
                 v = engine.first_free(hint)
-            frame_stack.append([v, vals, engine.mark(), v])
+            frame_stack.append([v, vals, engine.mark(), v, node_bound])
             return True
 
         enter(0)
         while frame_stack and not hit_limit:
-            var, vals, mark, hint = frame_stack[-1]
+            var, vals, mark, hint, _ = frame_stack[-1]
             if not vals:
                 engine.backtrack(mark)
                 frame_stack.pop()
@@ -371,16 +384,19 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             if engine.assign(var, val):
                 enter(hint)
             # on conflict just try the next value / unwind
+        # After a hit limit, every unexplored node lies below a frame with
+        # values left to try, or is the top frame's child the limit cut off.
+        if not frame_stack:
+            return None
+        return min([f[4] for f in frame_stack if f[1]] + [frame_stack[-1][4]])
 
-    search()
+    open_bound = search()
     wall = time.monotonic() - t_start
-    stats = {"nodes": nodes, "wall_time": wall, "lp_calls": lp_calls,
-             "engine": type(engine).__module__}
+    stats = {"nodes": nodes, "wall_time": wall, "lp_calls": lp_calls}
 
     if hit_limit:
-        b = pruned_bound
-        if incumbent_obj is not None:
-            b = incumbent_obj if b is None else min(b, incumbent_obj)
+        known = [x for x in (open_bound, pruned_bound, incumbent_obj) if x is not None]
+        b = min(known) if known else None
         return SolveResult("limit_reached", incumbent, incumbent_obj, b, stats, system)
     if incumbent is None:
         return SolveResult("infeasible", None, None, None, stats, system)
@@ -412,10 +428,10 @@ def extract_solution(instance, result: SolveResult) -> Solution:
         Fraction(0),
     )
 
-    active = {}  # train -> list of (t, arc)
+    active = {}  # train -> list of (t, arc index, var id)
     for vid, meaning in enumerate(system.variables):
         if meaning.kind == "route" and assignment.get(vid) == 1:
-            active.setdefault(meaning.train, []).append((meaning.t, net.arcs[meaning.arc_index]))
+            active.setdefault(meaning.train, []).append((meaning.t, meaning.arc_index, vid))
 
     routes = {}
     penalty_total = Fraction(0)
@@ -426,22 +442,15 @@ def extract_solution(instance, result: SolveResult) -> Solution:
                 penalty_total += train.penalty
                 continue
             raise DecodeError(f"non-optional train {train.id} has no active route variables")
-        node, now = train.origin, None
-        remaining = list(steps_raw)
+        decoded = _follow_walk(net.arcs, steps_raw, train.origin, train.destination)
+        if decoded is None:
+            raise DecodeError(f"route of train {train.id} is not a contiguous walk")
+        walk, remaining = decoded
         steps = []
-        while node != train.destination:
-            pick = None
-            for i, (t, arc) in enumerate(remaining):
-                if arc.frm == node and (now is None or t >= now):
-                    pick = i
-                    break
-            if pick is None:
-                raise DecodeError(f"route of train {train.id} is not a contiguous walk")
-            t, arc = remaining.pop(pick)
+        for now, t, arc, _vid in walk:
             if now is not None and t > now and not instance.allow_dwell:
                 raise DecodeError(f"train {train.id} dwells although dwell is disabled")
             steps.append(RoutedStep(train=train.id, frm=arc.frm, to=arc.to, depart=t))
-            node, now = arc.to, t + arc.travel_time
         if remaining:
             raise DecodeError(f"train {train.id} has active variables off its walk")
         routes[train.id] = tuple(steps)

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from helpers import line_instance
 from raildesign import cli
 from raildesign.model import load_solution, save_instance
@@ -48,6 +50,25 @@ def test_solve_invalid_instance(tmp_path, capsys):
     p.write_text(json.dumps(data))
     assert cli.main(["solve", str(p)]) == 1
     assert "ARC_TRAVEL_TIME" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where, patch", [
+    ((), {"nodes": 5}),
+    ((), {"headway_default": "x"}),
+    (("trains", 0), {"optional": "yes", "penalty": 4}),
+    (("trains", 0), {"optional": "false", "penalty": 4}),
+], ids=["nodes-int", "headway-default-str", "optional-yes", "optional-false-str"])
+def test_solve_mistyped_field(tmp_path, capsys, where, patch):
+    data = json.loads(open(write(tmp_path, line_instance(c=1, ce=0, k=0,
+                                                         n_trains=1))).read())
+    target = data
+    for key in where:
+        target = target[key]
+    target.update(patch)
+    p = tmp_path / "mistyped.json"
+    p.write_text(json.dumps(data))
+    assert cli.main(["solve", str(p)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_explicit_mode_mismatch(tmp_path, capsys):
@@ -103,29 +124,3 @@ def test_gen_x3c(tmp_path, capsys):
     assert cli.main(["solve", out]) == 0
     printed = capsys.readouterr().out
     assert "objective: 6" in printed
-
-
-def test_bench(tmp_path, capsys):
-    p1 = write(tmp_path, line_instance(c=1, ce=1, k=2, n_trains=2, horizon=2,
-                                       dwell=False), "a.json")
-    p2 = write(tmp_path, line_instance(c=1, ce=0, k=0, n_trains=1), "b.json")
-    tsv = tmp_path / "bench.tsv"
-    assert cli.main(["bench", p1, p2, "-R", "2", "-o", str(tsv)]) == 0
-    table = capsys.readouterr().out.splitlines()
-    assert table[0].split() == cli.BENCH_COLUMNS
-    assert len(table) == 3
-    rows = tsv.read_text().strip().splitlines()
-    assert rows[0].split("\t") == cli.BENCH_COLUMNS
-    # determinism of the non-timing columns across repetition counts
-    assert cli.main(["bench", p1, "-R", "1"]) == 0
-    one = capsys.readouterr().out.splitlines()[1].split()
-    many = table[1].split()
-    drop_time = lambda cols: [c for i, c in enumerate(cols)
-                              if cli.BENCH_COLUMNS[i] != "runtime_s"]
-    assert drop_time(one) == drop_time(many)
-
-
-def test_threads_flag_warns(tmp_path, capsys):
-    path = write(tmp_path, line_instance(c=1, ce=0, k=0, n_trains=1))
-    assert cli.main(["solve", path, "--threads", "4"]) == 0
-    assert "single-threaded" in capsys.readouterr().err

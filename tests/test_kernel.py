@@ -1,22 +1,12 @@
-"""Backend equivalence: the compiled propagation engine and the pure-Python
-fallback must behave identically on arbitrary operation scripts."""
+"""Soundness of the propagation engine: random row systems and random
+assign/backtrack scripts, checked against brute-force 0-1 enumeration."""
 
+import itertools
 import random
 
-import pytest
-
-from raildesign import _core_py, kernel
-from raildesign import milp, solver_bb
-from helpers import line_instance
-
-try:
-    from raildesign import _core
-    HAVE_COMPILED = True
-except ImportError:
-    HAVE_COMPILED = False
-
-needs_compiled = pytest.mark.skipif(not HAVE_COMPILED,
-                                    reason="compiled extension not built")
+import raildesign
+from raildesign import _core_py, solver_bb
+from raildesign._core_py import FREE, PropEngine
 
 
 def random_rows(rng, nvars):
@@ -30,61 +20,76 @@ def random_rows(rng, nvars):
     return rows
 
 
-def snapshot(engine, nvars, nrows):
+def snapshot(engine, nvars):
     return ([engine.value(v) for v in range(nvars)],
             engine.all_settled(),
             engine.first_free(0))
 
 
-@needs_compiled
-def test_backends_agree_on_random_scripts():
+def completions(rows, nvars, decisions):
+    """Every 0-1 point that agrees with the (var, val) decisions and satisfies
+    every row."""
+    return [bits for bits in itertools.product((0, 1), repeat=nvars)
+            if all(bits[v] == val for v, val in decisions)
+            and all(sum(c * bits[v] for v, c in zip(cols, coefs)) <= rhs
+                    for cols, coefs, rhs in rows)]
+
+
+def check_sound(engine, rows, nvars, decisions, ok):
+    sols = completions(rows, nvars, decisions)
+    # Row-by-row propagation cannot refute every infeasible branch (three
+    # pairwise-exclusive variables of which two must be set pass it), but on
+    # these seeded systems it does.
+    assert ok == bool(sols)
+    if not ok:
+        return
+    fixed = {v: engine.value(v) for v in range(nvars) if engine.value(v) != FREE}
+    assert all(bits[v] == val for bits in sols for v, val in fixed.items())
+    if engine.all_settled():
+        assert len(sols) == 2 ** (nvars - len(fixed))
+
+
+def test_engine_is_sound_on_random_scripts():
     rng = random.Random(42)
     for _ in range(150):
         nvars = rng.randint(2, 10)
         rows = random_rows(rng, nvars)
-        args = (nvars, [r[0] for r in rows], [r[1] for r in rows],
-                [r[2] for r in rows])
-        a = kernel.PropEngine(*args) if kernel.BACKEND == "cython" else _core.PropEngine(*args)
-        b = _core_py.PropEngine(*args)
-        assert a.propagate_root() == b.propagate_root()
-        assert snapshot(a, nvars, len(rows)) == snapshot(b, nvars, len(rows))
-        marks = []
+        engine = PropEngine(nvars, [r[0] for r in rows], [r[1] for r in rows],
+                            [r[2] for r in rows])
+        ok = engine.propagate_root()
+        check_sound(engine, rows, nvars, [], ok)
+        if not ok:
+            continue
+        stack = []  # (mark, snapshot before, var, val) per accepted decision
         for _ in range(rng.randint(3, 25)):
             op = rng.random()
             if op < 0.55:
-                v = rng.randrange(nvars)
-                val = rng.randint(0, 1)
-                marks.append((a.mark(), b.mark()))
-                assert a.assign(v, val) == b.assign(v, val)
-            elif op < 0.8 and marks:
-                ma, mb = marks.pop(rng.randrange(len(marks)))
-                marks = [m for m in marks if m[0] < ma]
-                a.backtrack(ma)
-                b.backtrack(mb)
+                v, val = rng.randrange(nvars), rng.randint(0, 1)
+                mark, before = engine.mark(), snapshot(engine, nvars)
+                ok = engine.assign(v, val)
+                decisions = [d[2:] for d in stack] + [(v, val)]
+                check_sound(engine, rows, nvars, decisions, ok)
+                if ok:
+                    stack.append((mark, before, v, val))
+                else:
+                    engine.backtrack(mark)
+                    assert snapshot(engine, nvars) == before
+            elif op < 0.8 and stack:
+                i = rng.randrange(len(stack))
+                mark, before = stack[i][:2]
+                del stack[i:]
+                engine.backtrack(mark)
+                assert snapshot(engine, nvars) == before
             else:
                 start = rng.randrange(nvars)
-                assert a.first_free(start) == b.first_free(start)
-            assert snapshot(a, nvars, len(rows)) == snapshot(b, nvars, len(rows))
-
-
-@needs_compiled
-def test_solver_results_identical_across_backends(monkeypatch):
-    inst = line_instance(c=1, ce=1, k=3, n_trains=2, horizon=3,
-                         headway_default=2, dwell=False)
-    system = milp.build(inst)
-    res_compiled = solver_bb.solve(system)
-
-    monkeypatch.setattr(solver_bb, "PropEngine", _core_py.PropEngine)
-    res_pure = solver_bb.solve(system)
-    assert res_compiled.status == res_pure.status
-    assert res_compiled.objective == res_pure.objective
-    assert res_compiled.incumbent == res_pure.incumbent
-    assert res_compiled.stats["nodes"] == res_pure.stats["nodes"]
+                want = next((u for u in range(start, nvars)
+                             if engine.value(u) == FREE), -1)
+                assert engine.first_free(start) == want
 
 
 def test_backend_reports_itself():
-    assert kernel.BACKEND in ("cython", "python")
-    assert hasattr(kernel.PropEngine, "propagate_root") or True  # class exists
-    e = kernel.PropEngine(1, [[0]], [[1]], [0])
+    assert raildesign.BACKEND == "python"
+    assert solver_bb.PropEngine is _core_py.PropEngine
+    e = _core_py.PropEngine(1, [[0]], [[1]], [0])
     assert e.propagate_root()
     assert e.value(0) == 0  # coef 1 > slack 0 forces the variable to 0

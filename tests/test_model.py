@@ -238,3 +238,24 @@ def test_load_instance_bad_json(tmp_path):
     p.write_text("[1, 2]")
     with pytest.raises(InstanceError, match="top level"):
         load_instance(p)
+
+
+@pytest.mark.parametrize("where, patch", [
+    ((), {"arcs": {"from": "A"}}),
+    ((), {"arcs": ["A-B"]}),
+    ((), {"connections": "none"}),
+    ((), {"headways": [3]}),
+    ((), {"scenarios": [{"id": "S", "train_ids": "T0"}]}),
+    ((), {"allow_dwell": 0}),
+    (("trains", 0), {"via_nodes": "B"}),
+    (("trains", 0), {"optional": 1, "penalty": 4}),
+])
+def test_mistyped_fields_rejected(where, patch):
+    data = instance_to_dict(line_instance(c=1, ce=0, k=0, n_trains=1))
+    target = data
+    for key in where:
+        target = target[key]
+    target.update(patch)
+    with pytest.raises(InstanceError,
+                       match="must be a list|expected an object|must be true or false"):
+        instance_from_dict(data)

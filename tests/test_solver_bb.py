@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import enumerate_system, line_instance, mk_network, mk_train
-from raildesign import milp, solver_bb
+from raildesign import milp, reduction, solver_bb
 from raildesign.milp import ConstraintSystem, LinearRow, VarMeaning
 from raildesign.model import Instance
 from raildesign.solver_bb import (DecodeError, SolveLimits, extract_solution,
@@ -18,7 +18,7 @@ def bound_mode(request, monkeypatch):
     if request.param == "lp":
         monkeypatch.setattr(solver_bb, "_LP_MIN_VARS", 0)
     else:
-        monkeypatch.setenv("RAILDESIGN_NO_LP", "1")
+        monkeypatch.setattr(solver_bb, "_HAVE_LP", False)
     return request.param
 
 
@@ -34,6 +34,7 @@ def test_expansion_needed(bound_mode):
     res = solve(milp.build(inst))
     assert res.status == "optimal" and res.objective == 7
     assert res.bound == 7
+    assert (res.stats["lp_calls"] > 0) == (bound_mode == "lp")
     sol = extract_solution(inst, res)
     assert sol.expanded_arcs == (("A", "B"),)
 
@@ -92,6 +93,30 @@ def test_node_limit(bound_mode):
     inst = line_instance(c=0, ce=1, k=1, n_trains=2, horizon=2, dwell=False)
     res = solve(milp.build(inst), SolveLimits(node_limit=0))
     assert res.status == "limit_reached"
+
+
+def x3c_system(q, subsets, seed):
+    inst, _threshold = reduction.x3c_to_instance(
+        reduction.gen_random_x3c(q, subsets, seed))
+    return milp.build(inst)
+
+
+def test_limit_bound_counts_open_subtrees():
+    # the unlimited solve proves the optimum is 9, so no valid bound exceeds it
+    res = solve(x3c_system(3, 8, 4), SolveLimits(node_limit=10))
+    assert res.status == "limit_reached"
+    assert res.bound is not None and res.bound <= 9
+
+
+@pytest.mark.parametrize("q, subsets, seed", [(2, 6, 1), (2, 5, 3), (3, 7, 2)])
+def test_limit_bound_never_exceeds_optimum(q, subsets, seed):
+    system = x3c_system(q, subsets, seed)
+    full = solve(system)
+    assert full.status == "optimal"
+    for node_limit in range(1, 21):
+        res = solve(system, SolveLimits(node_limit=node_limit))
+        assert res.status == "limit_reached"
+        assert res.bound is not None and res.bound <= full.objective
 
 
 def test_absolute_gap():

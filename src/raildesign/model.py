@@ -297,6 +297,13 @@ def _int(obj, key, where):
     return v
 
 
+def _str(obj, key, where):
+    v = obj[key]
+    if not isinstance(v, str):
+        raise InstanceError(f"{where}: {key} must be a string, got {v!r}")
+    return v
+
+
 def _list(obj, key, where):
     v = obj.get(key, [])
     if not isinstance(v, list):
@@ -304,11 +311,24 @@ def _list(obj, key, where):
     return v
 
 
+def _strings(obj, key, where):
+    items = _list(obj, key, where)
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise InstanceError(f"{where}: {key}[{i}] must be a string, got {item!r}")
+    return tuple(items)
+
+
+def _object(value, where):
+    if not isinstance(value, dict):
+        raise InstanceError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
 def _objects(data, key):
     items = _list(data, key, "instance")
     for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise InstanceError(f"{key}[{i}]: expected an object, got {item!r}")
+        _object(item, f"{key}[{i}]")
     return items
 
 
@@ -332,8 +352,11 @@ def instance_from_dict(data: dict) -> Instance:
     )
     nodes = []
     for i, n in enumerate(_objects(data, "nodes")):
-        _require_keys(n, ["id", "display_name"], ["id"], f"nodes[{i}]")
-        nodes.append(Node(id=n["id"], display_name=n.get("display_name")))
+        where = f"nodes[{i}]"
+        _require_keys(n, ["id", "display_name"], ["id"], where)
+        display_name = (_str(n, "display_name", where)
+                        if n.get("display_name") is not None else None)
+        nodes.append(Node(id=_str(n, "id", where), display_name=display_name))
     arcs = []
     for i, a in enumerate(_objects(data, "arcs")):
         where = f"arcs[{i}]"
@@ -346,8 +369,8 @@ def instance_from_dict(data: dict) -> Instance:
             where,
         )
         arcs.append(Arc(
-            frm=a["from"],
-            to=a["to"],
+            frm=_str(a, "from", where),
+            to=_str(a, "to", where),
             travel_time=_int(a, "travel_time", where),
             capacity=_int(a, "capacity", where),
             expandable_capacity=_int(a, "expandable_capacity", where),
@@ -358,7 +381,8 @@ def instance_from_dict(data: dict) -> Instance:
     for i, h in enumerate(_objects(data, "headways")):
         where = f"headways[{i}]"
         _require_keys(h, ["from", "to", "v1", "v2", "M"], ["from", "to", "v1", "v2", "M"], where)
-        entries[(h["from"], h["to"], h["v1"], h["v2"])] = _int(h, "M", where)
+        key = tuple(_str(h, k, where) for k in ("from", "to", "v1", "v2"))
+        entries[key] = _int(h, "M", where)
     default = _int(data, "headway_default", "instance") if "headway_default" in data else 0
     headways = HeadwayTable(entries=entries, default=default)
     trains = []
@@ -372,26 +396,28 @@ def instance_from_dict(data: dict) -> Instance:
             where,
         )
         trains.append(TrainRequest(
-            id=t["id"],
-            origin=t["origin"],
-            destination=t["destination"],
+            id=_str(t, "id", where),
+            origin=_str(t, "origin", where),
+            destination=_str(t, "destination", where),
             earliest_departure=_int(t, "earliest_departure", where),
             latest_arrival=_int(t, "latest_arrival", where),
             optional=_bool(t, "optional", where, False),
             penalty=_cost_from_json(t["penalty"], where) if t.get("penalty") is not None else None,
-            via_nodes=tuple(_list(t, "via_nodes", where)),
+            via_nodes=_strings(t, "via_nodes", where),
         ))
     connections = []
     for i, c in enumerate(_objects(data, "connections")):
         where = f"connections[{i}]"
         _require_keys(c, ["station", "feeder", "connecting"], ["station", "feeder", "connecting"], where)
-        connections.append(ConnectionRequirement(station=c["station"], feeder=c["feeder"],
-                                                 connecting=c["connecting"]))
+        connections.append(ConnectionRequirement(station=_str(c, "station", where),
+                                                 feeder=_str(c, "feeder", where),
+                                                 connecting=_str(c, "connecting", where)))
     scenarios = []
     for i, s in enumerate(_objects(data, "scenarios")):
         where = f"scenarios[{i}]"
         _require_keys(s, ["id", "train_ids"], ["id", "train_ids"], where)
-        scenarios.append(Scenario(id=s["id"], train_ids=tuple(_list(s, "train_ids", where))))
+        scenarios.append(Scenario(id=_str(s, "id", where),
+                                  train_ids=_strings(s, "train_ids", where)))
     return Instance(
         network=Network(nodes=tuple(nodes), arcs=tuple(arcs), headways=headways),
         horizon=_int(data, "horizon", "instance"),
@@ -484,21 +510,32 @@ def solution_to_dict(sol: Solution) -> dict:
 
 
 def solution_from_dict(data: dict) -> Solution:
+    _object(data, "solution")
     _require_keys(data, ["expanded_arcs", "routes", "objective_value", "cost_breakdown"],
                   ["expanded_arcs", "routes", "objective_value", "cost_breakdown"], "solution")
-    _require_keys(data["cost_breakdown"], ["expansion_cost_total", "penalty_total"],
+    _require_keys(_object(data["cost_breakdown"], "cost_breakdown"),
+                  ["expansion_cost_total", "penalty_total"],
                   ["expansion_cost_total", "penalty_total"], "cost_breakdown")
     routes = {}
-    for train, steps in data["routes"].items():
+    for train in _object(data["routes"], "routes"):
         decoded = []
-        for i, s in enumerate(steps):
+        for i, s in enumerate(_list(data["routes"], train, "routes")):
             where = f"routes[{train}][{i}]"
-            _require_keys(s, ["from", "to", "depart"], ["from", "to", "depart"], where)
-            decoded.append(RoutedStep(train=train, frm=s["from"], to=s["to"],
+            _require_keys(_object(s, where), ["from", "to", "depart"],
+                          ["from", "to", "depart"], where)
+            decoded.append(RoutedStep(train=train, frm=_str(s, "from", where),
+                                      to=_str(s, "to", where),
                                       depart=_int(s, "depart", where)))
         routes[train] = tuple(decoded)
+    expanded = []
+    for i, pair in enumerate(_list(data, "expanded_arcs", "solution")):
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(isinstance(end, str) for end in pair)):
+            raise InstanceError(f"expanded_arcs[{i}]: expected [from, to] node names, "
+                                f"got {pair!r}")
+        expanded.append(tuple(pair))
     return Solution(
-        expanded_arcs=tuple((f, t) for f, t in data["expanded_arcs"]),
+        expanded_arcs=tuple(expanded),
         routes=routes,
         objective_value=_cost_from_json(data["objective_value"], "objective_value"),
         expansion_cost_total=_cost_from_json(

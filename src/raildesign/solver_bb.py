@@ -1,33 +1,38 @@
 """Exact branch-and-bound over the 0-1 constraint system.
 
-Rows are normalized to <= form with integer coefficients and handed to the
-propagation engine in ``raildesign._core_py``.
-Search is depth-first.  When scipy is available the linear relaxation is
-solved at every node (HiGHS, constant matrices, per-node variable
-bounds): it supplies the lower bound, most-fractional branching, and
-integral vertices as incumbent candidates.  Candidates and bounds are
-always re-validated exactly -- the float LP only guides pruning, never
-certifies feasibility or the final objective.  Without scipy the bound
-falls back to the exact rational sum of fixed costs plus all
-still-collectable negative objective coefficients; weak but admissible,
-with pruning power coming from propagation alone.
+Rows are normalized to integer coefficients and handed, in <= form, to the
+propagation engine in ``raildesign._core_py``.  Search is depth-first.
+
+With HiGHS available (SciPy's ``scipy.optimize._highspy``) the linear
+relaxation is solved at every node.  Each solve builds one HiGHS LP, once,
+from the normalized rows; a node only changes the column bounds to the
+engine's current fixings and re-runs, so dual simplex warm-starts from the
+previous node's basis.  The relaxation supplies the lower bound,
+most-fractional branching, and integral vertices as incumbent candidates.
+Candidates and bounds are always re-validated exactly -- the float LP only
+guides pruning, never certifies feasibility or the final objective.  Only
+an LP proven infeasible prunes; any other non-optimal status falls back to
+the weak bound and drops the basis.  Without HiGHS the bound is the exact
+rational sum of fixed costs plus all still-collectable negative objective
+coefficients; weak but admissible, with pruning power coming from
+propagation alone.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from ._core_py import PropEngine
+from ._core_py import FREE, PropEngine
 from .model import RoutedStep, Solution
 
 try:
     import numpy as _np
-    from scipy import sparse as _sparse
-    from scipy.optimize import linprog as _linprog
+    from scipy.optimize._highspy import _core as _highs
     _HAVE_LP = True
 except ImportError:  # pragma: no cover - scipy is a soft dependency
     _HAVE_LP = False
@@ -54,50 +59,105 @@ class SolveResult:
     system: object = None
 
 
-def _normalized_rows(system):
-    """All rows as (cols, int coefs, int rhs) in <= sense."""
+def _integer_rows(system):
+    """Each row as (cols, int coefs, sense, int rhs), scaled to clear fractions."""
     out = []
     for row in system.rows:
         cols = [v for v, _ in row.terms]
         if len(set(cols)) != len(cols):
             raise ValueError(f"duplicate variable in row {row.name}")
-        coefs = [Fraction(c) for _, c in row.terms]
-        rhs = Fraction(row.rhs)
-        denom = lcm(rhs.denominator, *(c.denominator for c in coefs)) if coefs else rhs.denominator
-        icoefs = [int(c * denom) for c in coefs]
-        irhs = int(rhs * denom)
-        senses = {"<=": [(1, 1)], ">=": [(-1, -1)], "=": [(1, 1), (-1, -1)]}[row.sense]
-        for mc, mr in senses:
-            out.append(([c for c in cols],
-                        [mc * c for c in icoefs],
-                        mr * irhs))
+        coefs = [c for _, c in row.terms]
+        rhs = row.rhs
+        if type(rhs) is not int or any(type(c) is not int for c in coefs):
+            fcoefs = [Fraction(c) for c in coefs]
+            frhs = Fraction(rhs)
+            denom = lcm(frhs.denominator, *(c.denominator for c in fcoefs))
+            coefs = [int(c * denom) for c in fcoefs]
+            rhs = int(frhs * denom)
+        out.append((cols, coefs, row.sense, rhs))
     return out
 
 
-def _lp_matrices(system, nvars):
-    """Sparse float relaxation of the rows; constant across the search."""
-    ub_i, ub_j, ub_v, ub_b = [], [], [], []
-    eq_i, eq_j, eq_v, eq_b = [], [], [], []
-    for row in system.rows:
-        if not row.terms:
+_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
+
+
+def _le_rows(irows):
+    """``_integer_rows`` as (cols, int coefs, int rhs) in <= sense."""
+    return [(cols, [m * c for c in coefs], m * rhs)
+            for cols, coefs, sense, rhs in irows
+            for m in _SIGNS[sense]]
+
+
+def _normalized_rows(system):
+    """All rows as (cols, int coefs, int rhs) in <= sense."""
+    return _le_rows(_integer_rows(system))
+
+
+def _lp_model(irows, nvars, cost):
+    """One HiGHS LP over the rows with 0-1 column bounds, built once per solve.
+
+    ``irows`` are ``_integer_rows``; an equality row is one row with equal
+    lower and upper bounds.  Nodes change only the column bounds, so each
+    run warm-starts from the basis of the one before.
+    """
+    row_of, col_of, val_of, row_lo, row_up = [], [], [], [], []
+    for cols, coefs, sense, rhs in irows:
+        if not cols:
             continue
-        if row.sense == "=":
-            r = len(eq_b)
-            for v, cf in row.terms:
-                eq_i.append(r); eq_j.append(v); eq_v.append(float(cf))
-            eq_b.append(float(row.rhs))
-        else:
-            sgn = 1.0 if row.sense == "<=" else -1.0
-            r = len(ub_b)
-            for v, cf in row.terms:
-                ub_i.append(r); ub_j.append(v); ub_v.append(sgn * float(cf))
-            ub_b.append(sgn * float(row.rhs))
-    A_ub = (_sparse.csr_matrix((ub_v, (ub_i, ub_j)), shape=(len(ub_b), nvars))
-            if ub_b else None)
-    A_eq = (_sparse.csr_matrix((eq_v, (eq_i, eq_j)), shape=(len(eq_b), nvars))
-            if eq_b else None)
-    return (A_ub, _np.array(ub_b) if ub_b else None,
-            A_eq, _np.array(eq_b) if eq_b else None)
+        r = len(row_lo)
+        row_of.extend([r] * len(cols))
+        col_of.extend(cols)
+        val_of.extend(coefs)
+        row_lo.append(-_highs.kHighsInf if sense == "<=" else rhs)
+        row_up.append(_highs.kHighsInf if sense == ">=" else rhs)
+    col_of = _np.array(col_of, dtype=_np.int64)
+    order = _np.argsort(col_of, kind="stable")
+    lp = _highs.HighsLp()
+    lp.num_col_ = nvars
+    lp.num_row_ = len(row_lo)
+    lp.col_cost_ = cost
+    lp.col_lower_ = _np.zeros(nvars)
+    lp.col_upper_ = _np.ones(nvars)
+    lp.row_lower_ = _np.array(row_lo, dtype=float)
+    lp.row_upper_ = _np.array(row_up, dtype=float)
+    matrix = lp.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = nvars
+    matrix.num_row_ = len(row_lo)
+    matrix.start_ = _np.concatenate(
+        ([0], _np.cumsum(_np.bincount(col_of, minlength=nvars)))).astype(_np.int32)
+    matrix.index_ = _np.array(row_of, dtype=_np.int32)[order]
+    matrix.value_ = _np.array(val_of, dtype=float)[order]
+    model = _highs._Highs()
+    model.setOptionValue("output_flag", False)
+    model.passModel(lp)
+    return model
+
+
+_LPResult = namedtuple("_LPResult", "status fun x")  # status: 0 optimal, 2 infeasible
+
+
+# The benchmark's tracer wraps this name, so the per-node LP keeps it.
+def _linprog(model, lb, ub):
+    """Re-solve ``model`` under column bounds ``lb``..``ub``, warm from its basis."""
+    n = len(lb)
+    model.changeColsBounds(n, _np.arange(n, dtype=_np.int32), lb, ub)
+    model.run()
+    status = model.getModelStatus()
+    if status == _highs.HighsModelStatus.kOptimal:
+        return _LPResult(0, model.getObjectiveValue(),
+                         _np.array(model.getSolution().col_value))
+    if status == _highs.HighsModelStatus.kInfeasible:
+        return _LPResult(2, None, None)
+    model.clearSolver()  # no later node starts from a broken basis
+    return _LPResult(int(status), None, None)
+
+
+def _most_fractional(x):
+    """Position of the entry of ``x`` nearest 0.5 (ties to the first), and
+    whether every entry is within 1e-6 of an integer."""
+    return (int(_np.argmax(-_np.abs(x - 0.5))),
+            bool(_np.all(_np.abs(x - _np.round(x)) <= 1e-6)))
 
 
 def _follow_walk(arcs, steps, origin, destination):
@@ -170,7 +230,8 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     limits = limits or SolveLimits()
     t_start = time.monotonic()
     nvars = len(system.variables)
-    rows = _normalized_rows(system)
+    irows = _integer_rows(system)
+    rows = _le_rows(irows)
 
     # Rows without variables are constant truths or contradictions.
     var_rows = []
@@ -186,6 +247,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                         [r[0] for r in var_rows],
                         [r[1] for r in var_rows],
                         [r[2] for r in var_rows])
+    values = engine.values  # updated in place by assign and backtrack
 
     obj = {}
     for vid, coeff in system.objective:
@@ -199,10 +261,10 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         b = obj_const
         for v in obj_vars:
             c = obj[v]
-            val = engine.value(v)
+            val = values[v]
             if val == 1:
                 b += c
-            elif val == -1 and c < 0:
+            elif val == FREE and c < 0:
                 b += c
         return b
 
@@ -225,27 +287,11 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     pruned_bound = None  # min bound among gap-pruned nodes
     hit_limit = False
 
-    use_lp = _HAVE_LP and nvars >= _LP_MIN_VARS
-    if use_lp:
-        A_ub, b_ub, A_eq, b_eq = _lp_matrices(system, nvars)
-        c_vec = _np.zeros(nvars)
-        for v, cf in obj.items():
-            c_vec[v] = float(cf)
-
-    def lp_probe():
+    def lp_probe(state):
         """Returns (feasible, exact lower bound or None, relaxation point or None)."""
         nonlocal lp_calls
         lp_calls += 1
-        lb = _np.zeros(nvars)
-        ub = _np.ones(nvars)
-        for v in range(nvars):
-            val = engine.value(v)
-            if val == 0:
-                ub[v] = 0.0
-            elif val == 1:
-                lb[v] = 1.0
-        res = _linprog(c_vec, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                       bounds=_np.column_stack([lb, ub]), method="highs")
+        res = _linprog(lp, (state == 1).astype(float), (state != 0).astype(float))
         if res.status == 2:
             return False, None, None
         if res.status != 0:
@@ -270,10 +316,17 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             max_coef[v] = max(max_coef.get(v, c), c)
     for v in range(nvars):
         if max_coef.get(v, 0) <= 0 and obj.get(v, Fraction(0)) <= 0:
-            if engine.value(v) == -1 and not engine.assign(v, 1):
+            if values[v] == FREE and not engine.assign(v, 1):
                 return SolveResult("infeasible", None, None, None,
                                    {"nodes": 1, "wall_time": time.monotonic() - t_start},
                                    system)
+
+    use_lp = _HAVE_LP and nvars >= _LP_MIN_VARS
+    if use_lp:
+        c_vec = _np.zeros(nvars)
+        for v, cf in obj.items():
+            c_vec[v] = float(cf)
+        lp = _lp_model(irows, nvars, c_vec)
 
     def consider(assignment):
         """Record a feasible assignment if it improves the incumbent."""
@@ -290,11 +343,8 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
 
     def record_leaf():
         # free vars finish at their cheapest value (1 for negative coefs)
-        assignment = {}
-        for v in range(nvars):
-            val = engine.value(v)
-            assignment[v] = completion_value(v) if val == -1 else val
-        consider(assignment)
+        consider({v: completion_value(v) if val == FREE else val
+                  for v, val in enumerate(values)})
 
     def node_done():
         """Leaf test at the current engine state."""
@@ -329,7 +379,8 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                     return False
             relax = b = None
             if use_lp:
-                feasible, b, relax = lp_probe()
+                state = _np.array(values)
+                feasible, b, relax = lp_probe(state)
                 if not feasible:
                     return False
                 if prune_check(b):
@@ -342,29 +393,21 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             if node_done():
                 record_leaf()
                 return False
-            free = [v for v in range(nvars) if engine.value(v) == -1]
             vals = [0, 1]
             if relax is not None:
-                # most fractional free variable; ties broken by smallest id
-                v, score = -1, -1.0
-                integral = True
-                for u in free:
-                    x = relax[u]
-                    if abs(x - round(x)) > 1e-6:
-                        integral = False
-                    s = -abs(x - 0.5)
-                    if s > score:
-                        v, score = u, s
+                free = _np.flatnonzero(state == FREE)
+                x = relax[free]
+                i, integral = _most_fractional(x)
+                v = int(free[i])
                 if integral:
                     # the relaxation vertex is 0-1: validate it exactly
-                    assignment = {u: engine.value(u) for u in range(nvars)}
-                    for u in free:
-                        assignment[u] = int(round(relax[u]))
+                    assignment = dict(enumerate(values))
+                    assignment.update(zip(free.tolist(), _np.round(x).astype(int).tolist()))
                     if assignment_feasible(assignment):
                         consider(assignment)
                         if prune_check(b):
                             return False
-                    v = free[0]
+                    v = int(free[0])
                 first = int(round(relax[v]))
                 vals = [first, 1 - first]
             else:

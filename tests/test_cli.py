@@ -100,6 +100,26 @@ def test_verify_reports_violations(tmp_path, capsys):
     assert lines and all(re.match(r"[a-z]+\t.+", ln) for ln in lines)
 
 
+@pytest.mark.parametrize("patch", [
+    {"routes": {"T": 5}},
+    {"routes": [1]},
+    {"routes": {"T00": [5]}},
+    {"expanded_arcs": 5},
+    {"expanded_arcs": [["a", "b", "c"]]},
+], ids=["route-int", "routes-list", "step-int", "arcs-int", "arc-triple"])
+def test_verify_mistyped_solution(tmp_path, capsys, patch):
+    inst = line_instance(c=1, ce=1, k=4, n_trains=2, horizon=1, dwell=False)
+    path = write(tmp_path, inst)
+    out = str(tmp_path / "sol.json")
+    assert cli.main(["solve", path, "-o", out]) == 0
+    capsys.readouterr()
+    data = json.loads(open(out).read())
+    data.update(patch)
+    (tmp_path / "mistyped.json").write_text(json.dumps(data))
+    assert cli.main(["verify", path, str(tmp_path / "mistyped.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_export_lp(tmp_path, capsys):
     path = write(tmp_path, line_instance(c=1, ce=1, k=5, n_trains=1, horizon=2,
                                          dwell=False))

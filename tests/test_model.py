@@ -259,3 +259,41 @@ def test_mistyped_fields_rejected(where, patch):
     with pytest.raises(InstanceError,
                        match="must be a list|expected an object|must be true or false"):
         instance_from_dict(data)
+
+
+@pytest.mark.parametrize("where, patch", [
+    (("nodes", 0), {"id": 5}),
+    (("nodes", 0), {"display_name": ["B"]}),
+    (("arcs", 0), {"from": 1}),
+    (("trains", 0), {"id": 5}),
+    (("trains", 0), {"origin": None}),
+    (("trains", 0), {"destination": ["B"]}),
+    (("trains", 0), {"via_nodes": [3]}),
+    ((), {"headways": [{"from": "A", "to": "B", "v1": 0, "v2": "T0", "M": 1}]}),
+    ((), {"connections": [{"station": "B", "feeder": "T0", "connecting": 1}]}),
+    ((), {"scenarios": [{"id": 1, "train_ids": ["T0"]}]}),
+    ((), {"scenarios": [{"id": "S", "train_ids": [0]}]}),
+])
+def test_non_string_names_rejected(where, patch):
+    data = instance_to_dict(line_instance(c=1, ce=0, k=0, n_trains=1))
+    target = data
+    for key in where:
+        target = target[key]
+    target.update(patch)
+    with pytest.raises(InstanceError, match="must be a string"):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("patch", [
+    {"cost_breakdown": 0},
+    {"routes": {"T1": [{"from": "A", "to": 2, "depart": 0}]}},
+    {"expanded_arcs": [["A", 2]]},
+    {"expanded_arcs": ["AB"]},
+])
+def test_mistyped_solution_rejected(patch):
+    data = solution_to_dict(Solution((), {}, Fraction(0), Fraction(0), Fraction(0)))
+    data.update(patch)
+    with pytest.raises(InstanceError):
+        solution_from_dict(data)
+    with pytest.raises(InstanceError, match="expected an object"):
+        solution_from_dict([data])

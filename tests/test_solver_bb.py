@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -115,7 +116,9 @@ def test_limit_bound_never_exceeds_optimum(q, subsets, seed):
     assert full.status == "optimal"
     for node_limit in range(1, 21):
         res = solve(system, SolveLimits(node_limit=node_limit))
-        assert res.status == "limit_reached"
+        # a limit at or past the full search's node count does not bind
+        want = "limit_reached" if node_limit < full.stats["nodes"] else "optimal"
+        assert res.status == want
         assert res.bound is not None and res.bound <= full.objective
 
 
@@ -159,6 +162,107 @@ def test_normalized_rows():
     sys.rows.append(LinearRow([(0, 1), (0, 1)], "<=", 1, "dup"))
     with pytest.raises(ValueError, match="duplicate"):
         solver_bb._normalized_rows(sys)
+
+
+def test_integer_fast_path_matches_fractions():
+    # reference: every row through Fraction and the lcm of its denominators
+    system = x3c_system(3, 8, 4)
+    want = []
+    for row in system.rows:
+        coefs = [Fraction(c) for _, c in row.terms]
+        rhs = Fraction(row.rhs)
+        denom = lcm(rhs.denominator, *(c.denominator for c in coefs))
+        for m in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[row.sense]:
+            want.append(([v for v, _ in row.terms],
+                         [m * int(c * denom) for c in coefs], m * int(rhs * denom)))
+    assert solver_bb._normalized_rows(system) == want
+
+
+def no_row_system():
+    sys = ConstraintSystem()
+    for i, cost in enumerate((3, -2, 0, Fraction(-1, 2))):
+        sys.add_var(VarMeaning("expand", arc_index=i), f"b{i}", ("expand", i))
+        sys.objective.append((i, cost))
+    return sys
+
+
+def test_no_rows(bound_mode):
+    res = solve(no_row_system())
+    assert res.status == "optimal" and res.objective == Fraction(-5, 2)
+    assert (res.stats["lp_calls"] > 0) == (bound_mode == "lp")
+
+
+@pytest.mark.parametrize("system", [
+    x3c_system(3, 8, 4),
+    milp.build(line_instance(c=1, ce=1, k=3, n_trains=3, horizon=4,
+                             headway_default=1)),
+    no_row_system(),
+], ids=["x3c", "line", "no-rows"])
+def test_persistent_lp_matches_linprog(system):
+    np = pytest.importorskip("numpy")
+    optimize = pytest.importorskip("scipy.optimize")
+    n = len(system.variables)
+    cost = np.zeros(n)
+    for v, c in system.objective:
+        cost[v] += float(c)
+    ub_rows, eq_rows = [], []
+    for row in system.rows:
+        dense = np.zeros(n)
+        for v, c in row.terms:
+            dense[v] = float(c)
+        if row.sense == "=":
+            eq_rows.append((dense, float(row.rhs)))
+        else:
+            sgn = 1.0 if row.sense == "<=" else -1.0
+            ub_rows.append((sgn * dense, sgn * float(row.rhs)))
+    A_ub = np.array([a for a, _ in ub_rows]) if ub_rows else None
+    b_ub = np.array([b for _, b in ub_rows]) if ub_rows else None
+    A_eq = np.array([a for a, _ in eq_rows]) if eq_rows else None
+    b_eq = np.array([b for _, b in eq_rows]) if eq_rows else None
+
+    constraints = ([optimize.LinearConstraint(A_ub, -np.inf, b_ub)] if ub_rows else []) \
+        + ([optimize.LinearConstraint(A_eq, b_eq, b_eq)] if eq_rows else [])
+    # a 0-1 point from HiGHS MIP: fixings taken from it stay feasible
+    feasible = np.round(optimize.milp(cost, integrality=np.ones(n), constraints=constraints,
+                                      bounds=optimize.Bounds(0, 1)).x)
+    model = solver_bb._lp_model(solver_bb._integer_rows(system), n, cost)
+    rng = random.Random(11)
+    statuses = []
+    for step in range(24):
+        lb, ub = np.zeros(n), np.ones(n)
+        for v in range(n):
+            if rng.random() < 0.3:
+                # even steps follow the feasible point, odd ones fix at random
+                val = feasible[v] if step % 2 == 0 else rng.randint(0, 1)
+                lb[v] = ub[v] = val
+        got = solver_bb._linprog(model, lb, ub)
+        want = optimize.linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                bounds=np.column_stack([lb, ub]), method="highs")
+        status, fun = want.status, want.fun
+        assert got.status == status
+        if status == 0:
+            assert abs(got.fun - fun) <= 1e-7 * (1 + abs(fun))
+        statuses.append(status)
+    assert statuses[0] == 0
+    if system.rows:
+        # warm starts right after an infeasible LP were exercised
+        assert any(a == 2 and b == 0 for a, b in zip(statuses, statuses[1:]))
+
+
+def test_most_fractional_matches_loop():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(3)
+    for _ in range(300):
+        x = [rng.choice((0.0, 1.0, 0.5, 0.25, 0.75, 1e-7, 1 - 1e-7, 2e-6,
+                         rng.random())) for _ in range(rng.randint(1, 12))]
+        # reference: the per-variable loop the solver ran before
+        v, score, integral = -1, -1.0, True
+        for u, xu in enumerate(x):
+            if abs(xu - round(xu)) > 1e-6:
+                integral = False
+            if -abs(xu - 0.5) > score:
+                v, score = u, -abs(xu - 0.5)
+        assert solver_bb._most_fractional(np.array(x)) == (v, integral)
 
 
 def test_extract_decodes_routes_in_order():

@@ -1,7 +1,12 @@
 """0-1 linear constraint system built from an instance.
 
-Families, in emission order: capacity, departure, arrival, headway,
-flow conservation, connections, VIA.  Row names double as machine tags,
+Each train gets route and dwell variables only on the time-expanded slots
+it can use on a walk from its origin, departing in its window, to its
+destination, arriving in its window (``expand``).  A walk never re-enters
+the origin and ends at its first arrival at the destination.  Row
+families, in emission order: capacity (every window, used or not),
+departure, arrival, headway, flow conservation, connections, VIA.  Row
+names double as machine tags,
 e.g. ``cap_<from>_<to>_<scenario>_<t0>``.  The capacity window is
 half-open [t0, t0 + window): "c trains per window" is meant literally and
 window = 1 means "per time step".
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .model import effective_scenarios
-from .timegraph import expand
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,45 @@ def headway_row(M: int, t1: int, t2: int, x1: int, x2: int, name: str = "hw") ->
     return LinearRow(terms=[(x1, w), (x2, w)], sense="<=", rhs=w, name=name)
 
 
+# The benchmark's tracer wraps this name (timegraph.expand_s), so it keeps it.
+def expand(net, horizon, train, allow_dwell):
+    """The time-expanded slots one train can use on a walk to its destination.
+
+    Returns (movements, dwells): sets of (arc index, departure t) and of
+    (node, t), a dwell waiting from t to t + 1.  A slot is kept when its
+    tail is reachable from (origin, t >= earliest departure) and its head
+    still reaches (destination, t <= latest arrival).  A train never enters
+    its origin and never leaves its destination, so no slot ends at the one
+    or starts at the other, and neither has dwells.  Travel times are >= 1,
+    so one sweep over time in each direction settles reachability.
+    """
+    o, d = train.origin, train.destination
+    arcs = [(ai, a.frm, a.to, a.travel_time) for ai, a in enumerate(net.arcs)
+            if a.frm != d and a.to != o]
+    waits = [n.id for n in net.nodes if n.id not in (o, d)] if allow_dwell else []
+    fwd = {(o, t) for t in range(train.earliest_departure, horizon + 1)}
+    for t in range(horizon):
+        for _ai, frm, to, tt in arcs:
+            if (frm, t) in fwd:
+                fwd.add((to, t + tt))
+        for n in waits:
+            if (n, t) in fwd:
+                fwd.add((n, t + 1))
+    bwd = {(d, t) for t in range(min(train.latest_arrival, horizon) + 1)}
+    for t in range(horizon, 0, -1):
+        for _ai, frm, to, tt in arcs:
+            if (to, t) in bwd:
+                bwd.add((frm, t - tt))
+        for n in waits:
+            if (n, t) in bwd:
+                bwd.add((n, t - 1))
+    movements = {(ai, t) for ai, frm, to, tt in arcs for t in range(horizon - tt + 1)
+                 if (frm, t) in fwd and (to, t + tt) in bwd}
+    dwells = {(n, t) for n in waits for t in range(horizon)
+              if (n, t) in fwd and (n, t + 1) in bwd}
+    return movements, dwells
+
+
 def build(instance) -> ConstraintSystem:
     """Translate a validated instance into the 0-1 model."""
     net = instance.network
@@ -108,28 +151,27 @@ def build(instance) -> ConstraintSystem:
         if t.optional and t.via_nodes:
             raise BuildError("optional trains may not carry VIA requirements")
 
-    graph = expand(net, horizon)
     scenarios = effective_scenarios(instance)
 
     sys = ConstraintSystem(instance=instance)
     namer = _mk_namer()
 
     # Variables: expansion first, then per train (lexicographic) by
-    # (time, movement-before-dwell, arc/node index).
+    # (time, movement-before-dwell, arc/node index), over the train's slots.
     for ai, arc in enumerate(net.arcs):
         sys.add_var(VarMeaning("expand", arc_index=ai),
                     namer("b", arc.frm, arc.to), ("expand", ai))
     node_pos = {n.id: i for i, n in enumerate(net.nodes)}
+    departs = {}  # train -> arc index -> ascending departure times of its slots
     for tid in sorted(trains):
-        entries = []
-        for (ai, t) in graph.movement_index:
-            entries.append((t, 0, ai))
-        if instance.allow_dwell:
-            for (node, t) in graph.dwell_index:
-                entries.append((t, 1, node_pos[node]))
+        movements, dwells = expand(net, horizon, trains[tid], instance.allow_dwell)
+        entries = [(t, 0, ai) for ai, t in movements]
+        entries += [(t, 1, node_pos[node]) for node, t in dwells]
+        by_arc = departs[tid] = {}
         for (t, kind, idx) in sorted(entries):
             if kind == 0:
                 arc = net.arcs[idx]
+                by_arc.setdefault(idx, []).append(t)
                 sys.add_var(VarMeaning("route", arc_index=idx, train=tid, t=t),
                             namer("x", tid, arc.frm, arc.to, t), ("route", tid, idx, t))
             else:
@@ -149,6 +191,10 @@ def build(instance) -> ConstraintSystem:
         arcs_out.setdefault(arc.frm, []).append(ai)
         arcs_in.setdefault(arc.to, []).append(ai)
 
+    def route_terms(tid, arc_indexes, coef=1):
+        return [(sys.var_index[("route", tid, ai, t)], coef)
+                for ai in arc_indexes for t in departs[tid].get(ai, ())]
+
     # Objective: expansion costs, minus a reward for each departure of an
     # optional train (constant-shifted so the optimum equals expansion plus
     # penalty total).  A cap row keeps optional departures at <= 1 so the
@@ -156,21 +202,11 @@ def build(instance) -> ConstraintSystem:
     for ai, arc in enumerate(net.arcs):
         if arc.expansion_cost != 0:
             sys.objective.append((sys.var_index[("expand", ai)], Fraction(arc.expansion_cost)))
-    opt_departures = {}
     for tid in sorted(trains):
         tr = trains[tid]
-        if not tr.optional:
-            continue
-        deps = []
-        for ai in arcs_out.get(tr.origin, []):
-            for t in range(tr.earliest_departure, horizon + 1):
-                vid = route_var(tid, ai, t)
-                if vid is not None:
-                    deps.append(vid)
-        opt_departures[tid] = deps
-        for vid in deps:
-            sys.objective.append((vid, -Fraction(tr.penalty)))
-        sys.objective_constant += Fraction(tr.penalty)
+        if tr.optional:
+            sys.objective += route_terms(tid, arcs_out.get(tr.origin, []), -Fraction(tr.penalty))
+            sys.objective_constant += Fraction(tr.penalty)
 
     # Capacity: one row per (arc, scenario, window start), linearized as
     # sum x - expandable * b <= capacity.
@@ -188,45 +224,25 @@ def build(instance) -> ConstraintSystem:
                 sys.rows.append(LinearRow(terms, "<=", arc.capacity,
                                           namer("cap", arc.frm, arc.to, sc.id, t0)))
 
-    # Departure and arrival.
+    # Departure and arrival.  Every slot out of the origin departs in the
+    # window and every slot into the destination arrives in it.  VIA and
+    # connection rows count over all of a train's walks, so a train they
+    # name departs exactly once: a second walk cannot meet them for it.
+    connected = {tid for c in instance.connections for tid in (c.feeder, c.connecting)}
     for tid in sorted(trains):
         tr = trains[tid]
-        early = []
-        ontime = []
-        for ai in arcs_out.get(tr.origin, []):
-            for t in range(0, horizon + 1):
-                vid = route_var(tid, ai, t)
-                if vid is None:
-                    continue
-                (early if t < tr.earliest_departure else ontime).append(vid)
-        if early:
-            sys.rows.append(LinearRow([(v, 1) for v in early], "=", 0,
-                                      namer("dep", tid, "early")))
+        deps = route_terms(tid, arcs_out.get(tr.origin, []))
         if tr.optional:
-            sys.rows.append(LinearRow([(v, 1) for v in ontime], "<=", 1,
-                                      namer("dep", tid, "once")))
+            sys.rows.append(LinearRow(deps, "<=", 1, namer("dep", tid, "once")))
         else:
-            sys.rows.append(LinearRow([(v, 1) for v in ontime], ">=", 1, namer("dep", tid)))
-        late = []
-        bytime = []
-        for ai in arcs_in.get(tr.destination, []):
-            arc = net.arcs[ai]
-            for t in range(0, horizon + 1):
-                vid = route_var(tid, ai, t)
-                if vid is None:
-                    continue
-                (late if t + arc.travel_time > tr.latest_arrival else bytime).append(vid)
-        if late:
-            sys.rows.append(LinearRow([(v, 1) for v in late], "=", 0,
-                                      namer("arr", tid, "late")))
-        if not tr.optional:
-            sys.rows.append(LinearRow([(v, 1) for v in bytime], ">=", 1, namer("arr", tid)))
+            sense = "=" if tr.via_nodes or tid in connected else ">="
+            sys.rows.append(LinearRow(deps, sense, 1, namer("dep", tid)))
+            sys.rows.append(LinearRow(route_terms(tid, arcs_in.get(tr.destination, [])),
+                                      ">=", 1, namer("arr", tid)))
 
     # Minimum headway, per scenario; trains shared by scenarios get one row
-    # under each scenario tag.
+    # under each scenario tag.  Rows are vacuous from the first gap of M on.
     for ai, arc in enumerate(net.arcs):
-        dep_times = [t for (a2, t) in graph.movement_index if a2 == ai]
-        dep_times.sort()
         for sc in scenarios:
             for v1 in sc.train_ids:
                 for v2 in sc.train_ids:
@@ -235,16 +251,16 @@ def build(instance) -> ConstraintSystem:
                     M = net.headways.get(arc.frm, arc.to, v1, v2)
                     if M <= 0:
                         continue
-                    for t1 in dep_times:
-                        for t2 in dep_times:
+                    for t1 in departs[v1].get(ai, ()):
+                        for t2 in departs[v2].get(ai, ()):
                             if t1 >= t2:
                                 continue
                             row = headway_row(
-                                M, t1, t2,
-                                route_var(v1, ai, t1), route_var(v2, ai, t2),
+                                M, t1, t2, route_var(v1, ai, t1), route_var(v2, ai, t2),
                                 name=namer("hw", arc.frm, arc.to, sc.id, v1, v2, t1, t2))
-                            if row is not None:
-                                sys.rows.append(row)
+                            if row is None:
+                                break
+                            sys.rows.append(row)
 
     # Flow conservation at every time node except the train's own origin
     # and destination; dwell appears on both sides when enabled.
@@ -309,13 +325,8 @@ def build(instance) -> ConstraintSystem:
     for tid in sorted(trains):
         tr = trains[tid]
         for n in tr.via_nodes:
-            terms = []
-            for ai in arcs_out.get(n, []):
-                for t in range(0, horizon + 1):
-                    vid = route_var(tid, ai, t)
-                    if vid is not None:
-                        terms.append((vid, 1))
-            sys.rows.append(LinearRow(terms, ">=", 1, namer("via", tid, n)))
+            sys.rows.append(LinearRow(route_terms(tid, arcs_out.get(n, [])), ">=", 1,
+                                      namer("via", tid, n)))
 
     return sys
 

@@ -187,9 +187,10 @@ def _follow_walk(arcs, steps, origin, destination):
 def _trim_assignment(system, assignment):
     """Zero route/dwell activity that is off every train's walk.
 
-    LP vertices can carry cost-neutral junk (closed circulations) that
-    satisfies every row but cannot be read back as a walk.  Returns a
-    changed copy, or None when nothing was trimmed / trimming failed.
+    LP vertices can carry cost-neutral junk (a second walk of a train that
+    may depart more than once) that satisfies every row but cannot be read
+    back as one walk.  Returns a changed copy, or None when nothing was
+    trimmed / trimming failed.
     """
     inst = getattr(system, "instance", None)
     if inst is None:
@@ -310,12 +311,8 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     # coefficients non-positive in <= form) and never worsens the objective
     # can be fixed to 1 up front.  This covers zero-cost expansion
     # variables, which would otherwise bloat the search tree.
-    max_coef = {}
-    for cols, coefs, _ in var_rows:
-        for v, c in zip(cols, coefs):
-            max_coef[v] = max(max_coef.get(v, c), c)
-    for v in range(nvars):
-        if max_coef.get(v, 0) <= 0 and obj.get(v, Fraction(0)) <= 0:
+    for v, occurrences in enumerate(engine.watch):
+        if all(c <= 0 for _r, c in occurrences) and obj.get(v, Fraction(0)) <= 0:
             if values[v] == FREE and not engine.assign(v, 1):
                 return SolveResult("infeasible", None, None, None,
                                    {"nodes": 1, "wall_time": time.monotonic() - t_start},

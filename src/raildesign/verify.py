@@ -44,7 +44,6 @@ def verify(instance, solution) -> list:
             bad("structure", f"route for undeclared train {tid}")
 
     # route structure, departure and arrival windows
-    arrivals = {}  # (train, node) -> earliest arrival time
     for tid, steps in solution.routes.items():
         if tid not in trains:
             continue
@@ -67,6 +66,12 @@ def verify(instance, solution) -> list:
             bad("flow", f"train {tid}: route starts at {steps[0].frm}, not the origin")
         if steps[-1].to != t.destination:
             bad("flow", f"train {tid}: route ends at {steps[-1].to}, not the destination")
+        for s in steps:
+            # a route leaves its origin once and ends at its first arrival
+            if s.to == t.origin:
+                bad("flow", f"train {tid}: step {s.frm}->{s.to} returns to the origin")
+            if s.frm == t.destination:
+                bad("flow", f"train {tid}: step {s.frm}->{s.to} leaves the destination")
         if steps[0].depart < t.earliest_departure:
             bad("departure", f"train {tid}: departs at {steps[0].depart} before "
                 f"{t.earliest_departure}")
@@ -91,8 +96,6 @@ def verify(instance, solution) -> list:
             arc = arcs[(s.frm, s.to)]
             node = s.to
             now = s.depart + arc.travel_time
-            if (tid, s.to) not in arrivals:
-                arrivals[(tid, s.to)] = now
         if contiguous and now is not None and steps[-1].to == t.destination:
             if now > t.latest_arrival:
                 bad("arrival", f"train {tid}: arrives at {now} after {t.latest_arrival}")

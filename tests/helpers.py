@@ -1,11 +1,14 @@
 """Shared builders and brute-force oracles for the test suite."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
 
-from raildesign.model import (Arc, HeadwayTable, Instance, Network, Node,
-                              Scenario, TrainRequest)
+from raildesign.model import (Arc, ConnectionRequirement, HeadwayTable,
+                              Instance, Network, Node, RoutedStep, Scenario,
+                              Solution, TrainRequest, validate_instance)
+from raildesign.verify import verify
 
 
 def mk_network(arc_specs, headways=None, extra_nodes=()):
@@ -46,6 +49,16 @@ def line_instance(c, ce, k, n_trains, horizon=2, window=1, dwell=True,
     trains = tuple(mk_train(f"T{i}", "A", "B", dep, arr) for i in range(n_trains))
     return Instance(network=net, horizon=horizon, trains=trains,
                     capacity_window=window, allow_dwell=dwell)
+
+
+def two_arc_line(n_trains, horizon, dwell=True, headway=0, c=1):
+    """Line A->B->C, each arc expandable by 1, with n identical trains that
+    may wait at B when dwell is on."""
+    net = mk_network([("A", "B", 1, c, 1, 3), ("B", "C", 1, c, 1, 2)],
+                     headways=HeadwayTable(default=headway))
+    trains = tuple(mk_train(f"T{i}", "A", "C", 0, horizon) for i in range(n_trains))
+    return Instance(network=net, horizon=horizon, trains=trains,
+                    capacity_window=1, allow_dwell=dwell)
 
 
 def row_satisfied(row, bits):
@@ -151,3 +164,129 @@ def random_sp_instance(rng: random.Random, max_arcs=12, max_trains=6):
                    for k in range(rng.randint(0, max_trains)))
     return Instance(network=net, horizon=horizon, trains=trains,
                     capacity_window=horizon, allow_dwell=False)
+
+
+# ---------------------------------------------------------------------------
+# walk oracle: designs and routes enumerated, judged by ``verify`` alone
+
+
+def train_walks(instance, train):
+    """Every walk of ``train`` that departs its origin no earlier than its
+    earliest departure, waits only where dwell is allowed and is at its
+    destination within the horizon.  Walks may pass through the destination
+    or come back to the origin; which of them are routes is for ``verify``
+    to say."""
+    out = {}
+    for a in instance.network.arcs:
+        out.setdefault(a.frm, []).append(a)
+    walks = []
+
+    def extend(node, now, steps):
+        if node == train.destination:
+            walks.append(tuple(steps))
+        first = train.earliest_departure if now is None else now
+        last = now if now is not None and not instance.allow_dwell else instance.horizon
+        for a in out.get(node, ()):
+            for t in range(first, min(last, instance.horizon - a.travel_time) + 1):
+                extend(a.to, t + a.travel_time,
+                       steps + [RoutedStep(train.id, a.frm, a.to, t)])
+
+    extend(train.origin, None, [])
+    return walks
+
+
+def walk_oracle(instance):
+    """(status, optimal objective or None), sharing no code with ``milp``.
+
+    For every design (set of expanded arcs) and every choice of one walk per
+    train, or none for an optional train, keeps the cheapest solution that
+    ``verify`` accepts.  Two cuts keep it small and exact: a walk that fails
+    ``verify`` with its train alone and every arc expanded is in no accepted
+    solution, and expanding more arcs never breaks one, so a choice of walks
+    that fails with every arc expanded fails with every design.
+    """
+    arcs = instance.network.arcs
+    every_arc = tuple(a.key for a in arcs)
+    full = sum((a.expansion_cost for a in arcs), Fraction(0))
+    choices = []
+    for t in instance.trains:
+        alone = dataclasses.replace(instance, trains=(t,), connections=(), scenarios=())
+        walks = [w for w in train_walks(instance, t)
+                 if not verify(alone, Solution(every_arc, {t.id: w}, full, full, Fraction(0)))]
+        choices.append(walks + [None] if t.optional else walks)
+    designs = sorted(
+        (sum((a.expansion_cost for a, on in zip(arcs, bits) if on), Fraction(0)),
+         tuple(a.key for a, on in zip(arcs, bits) if on))
+        for bits in itertools.product((0, 1), repeat=len(arcs)))
+    best = None
+    for combo in itertools.product(*choices):
+        penalty = sum((t.penalty for t, w in zip(instance.trains, combo) if w is None),
+                      Fraction(0))
+        routes = {t.id: w for t, w in zip(instance.trains, combo) if w is not None}
+        if (best is not None and penalty >= best) or verify(
+                instance, Solution(every_arc, routes, full + penalty, full, penalty)):
+            continue
+        for cost, expanded in designs:
+            if best is not None and cost + penalty >= best:
+                break
+            if not verify(instance, Solution(expanded, routes, cost + penalty, cost, penalty)):
+                best = cost + penalty
+                break
+    return ("infeasible", None) if best is None else ("optimal", best)
+
+
+def _reachable(pairs, start):
+    seen, stack = {start}, [start]
+    while stack:
+        u = stack.pop()
+        for a, b in pairs:
+            if a == u and b not in seen:
+                seen.add(b)
+                stack.append(b)
+    return seen - {start}
+
+
+def random_walk_instance(rng: random.Random):
+    """Tiny valid instance for ``walk_oracle``: a line of 3-4 stations with
+    some reverse arcs and a chord, 1-3 trains (optional ones, 1-2 VIA), headway
+    0-2, capacity window 1-2, sometimes two scenarios or a connection."""
+    while True:
+        names = "ABCD"[:rng.randint(3, 4)]
+        pairs = list(zip(names, names[1:]))
+        pairs += [(b, a) for a, b in pairs if rng.random() < 0.6]
+        if rng.random() < 0.4:
+            pairs.append((names[0], names[-1]))
+        net = mk_network([(a, b, rng.choice((1, 1, 2)), rng.randint(0, 1),
+                           int(rng.random() < 0.8), rng.randint(0, 4)) for a, b in pairs],
+                         headways=HeadwayTable(default=rng.randint(0, 2)))
+        horizon = rng.randint(3, 5)
+        trains = []
+        ahead = {n: _reachable(pairs, n) for n in names}
+        for k in range(rng.randint(1, 3)):
+            origin = rng.choice([n for n in names if ahead[n]])
+            dest = rng.choice(sorted(ahead[origin]))
+            dep = rng.randint(0, 1)
+            optional = rng.random() < 0.3
+            others = [n for n in names if n not in (origin, dest)]
+            via = []
+            if not optional and rng.random() < 0.3:
+                via = rng.sample(others, rng.randint(1, len(others)))
+            trains.append(mk_train(f"T{k}", origin, dest, dep,
+                                   rng.randint(min(dep + 2, horizon), horizon),
+                                   optional=optional,
+                                   penalty=rng.randint(1, 6) if optional else None, via=via))
+        ids = [t.id for t in trains]
+        scenarios = ()
+        if len(ids) >= 2 and rng.random() < 0.3:
+            scenarios = (Scenario("S1", tuple(ids[:-1])), Scenario("S2", tuple(ids[1:])))
+        connections = ()
+        mandatory = [t for t in trains if not t.optional]
+        if len(mandatory) >= 2 and rng.random() < 0.3:
+            feeder, connecting = rng.sample(mandatory, 2)
+            connections = (ConnectionRequirement(feeder.destination, feeder.id,
+                                                 connecting.id),)
+        inst = Instance(network=net, horizon=horizon, trains=tuple(trains),
+                        connections=connections, scenarios=scenarios,
+                        capacity_window=rng.randint(1, 2), allow_dwell=rng.random() < 0.5)
+        if validate_instance(inst).ok:
+            return inst

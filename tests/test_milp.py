@@ -1,14 +1,18 @@
+import dataclasses
 import itertools
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import line_instance, mk_network, mk_train
+from helpers import (line_instance, mk_network, mk_train, random_walk_instance,
+                     train_walks)
 from raildesign import milp, reduction
 from raildesign.model import (ConnectionRequirement, HeadwayTable, Instance,
-                              Scenario)
+                              Scenario, Solution)
+from raildesign.verify import verify
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,6 +42,34 @@ def test_headway_linearization_matches_quadratic():
             else:
                 row_ok = sum(c * (x1, x2)[v] for v, c in row.terms) <= row.rhs
             assert row_ok == quad_ok, (M, t1, t2, x1, x2)
+
+
+# -- time expansion -----------------------------------------------------------
+
+
+def test_expand_keeps_exactly_the_slots_of_some_walk():
+    # a slot is kept iff some walk that verify accepts as the train's route
+    # (structure, flow and windows; capacity and VIA aside) uses it
+    rng = random.Random(4)
+    own = {"structure", "flow", "departure", "arrival"}
+    for _ in range(100):
+        inst = random_walk_instance(rng)
+        index = {a.key: ai for ai, a in enumerate(inst.network.arcs)}
+        travel = {a.key: a.travel_time for a in inst.network.arcs}
+        for train in inst.trains:
+            alone = dataclasses.replace(inst, trains=(train,), connections=(),
+                                        scenarios=())
+            zero = Fraction(0)
+            walks = [w for w in train_walks(inst, train)
+                     if not own & {v.family for v in verify(
+                         alone, Solution((), {train.id: w}, zero, zero, zero))}]
+            movements, dwells = milp.expand(inst.network, inst.horizon, train,
+                                            inst.allow_dwell)
+            assert movements == {(index[(s.frm, s.to)], s.depart)
+                                 for w in walks for s in w}
+            assert dwells == {(s.frm, tau) for w in walks for prev, s in zip(w, w[1:])
+                              for tau in range(prev.depart + travel[(prev.frm, prev.to)],
+                                               s.depart)}
 
 
 # -- build: variables and objective ------------------------------------------

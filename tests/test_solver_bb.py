@@ -5,12 +5,14 @@ from math import lcm
 
 import pytest
 
-from helpers import enumerate_system, line_instance, mk_network, mk_train
+from helpers import (enumerate_system, line_instance, mk_network, mk_train,
+                     random_walk_instance, two_arc_line, walk_oracle)
 from raildesign import milp, reduction, solver_bb
 from raildesign.milp import ConstraintSystem, LinearRow, VarMeaning
-from raildesign.model import Instance
+from raildesign.model import Instance, RoutedStep, Solution
 from raildesign.solver_bb import (DecodeError, SolveLimits, extract_solution,
                                   solve)
+from raildesign.verify import verify
 
 
 @pytest.fixture(params=["lp", "fallback"])
@@ -194,8 +196,7 @@ def test_no_rows(bound_mode):
 
 @pytest.mark.parametrize("system", [
     x3c_system(3, 8, 4),
-    milp.build(line_instance(c=1, ce=1, k=3, n_trains=3, horizon=4,
-                             headway_default=1)),
+    milp.build(two_arc_line(3, 4, headway=1)),
     no_row_system(),
 ], ids=["x3c", "line", "no-rows"])
 def test_persistent_lp_matches_linprog(system):
@@ -295,3 +296,68 @@ def test_constant_row_contradiction():
     sys.add_var(VarMeaning("expand", arc_index=0), "b0", ("expand", 0))
     sys.rows.append(LinearRow([], "<=", -1, "never"))
     assert solve(sys).status == "infeasible"
+
+
+# -- route semantics: a train never re-enters its origin or leaves its
+# destination, so no flow can circulate through either
+
+
+def test_optional_train_cannot_circulate_through_its_origin(bound_mode):
+    net = mk_network([("A", "B", 1, 1, 0, 0), ("B", "A", 1, 1, 0, 0),
+                      ("B", "C", 1, 0, 0, 0)])
+    inst = Instance(network=net, horizon=3,
+                    trains=(mk_train("O", "A", "C", 0, 3, optional=True, penalty=5),),
+                    capacity_window=1, allow_dwell=False)
+    res = solve(milp.build(inst))
+    assert (res.status, res.objective) == ("optimal", 5)
+    assert extract_solution(inst, res).routes == {}
+
+
+def test_train_cannot_circulate_through_its_terminals(bound_mode):
+    net = mk_network([("A", "B", 1, 1, 0, 0), ("B", "A", 1, 1, 0, 0),
+                      ("C", "D", 1, 1, 0, 0), ("D", "C", 1, 1, 0, 0),
+                      ("B", "D", 1, 0, 1, 10)])
+    inst = Instance(network=net, horizon=4, trains=(mk_train("T", "A", "C", 0, 4),),
+                    capacity_window=1, allow_dwell=False)
+    res = solve(milp.build(inst))
+    assert (res.status, res.objective) == ("optimal", 10)
+    sol = extract_solution(inst, res)
+    assert [(s.frm, s.to) for s in sol.routes["T"]] == [("A", "B"), ("B", "D"), ("D", "C")]
+    assert verify(inst, sol) == []
+
+
+@pytest.mark.parametrize("dwell", [False, True])
+def test_via_cannot_be_reached_by_returning_to_the_origin(bound_mode, dwell):
+    net = mk_network([("A", "V", 1, 1, 0, 0), ("V", "A", 1, 1, 0, 0),
+                      ("A", "C", 1, 1, 0, 0)])
+    inst = Instance(network=net, horizon=3,
+                    trains=(mk_train("T", "A", "C", 0, 3, via=["V"]),),
+                    capacity_window=1, allow_dwell=dwell)
+    assert solve(milp.build(inst)).status == "infeasible"
+    back = Solution((), {"T": (RoutedStep("T", "A", "V", 0), RoutedStep("T", "V", "A", 1),
+                               RoutedStep("T", "A", "C", 2))},
+                    Fraction(0), Fraction(0), Fraction(0))
+    assert [v.family for v in verify(inst, back)] == ["flow"]
+
+
+def test_via_nodes_are_met_by_one_walk(bound_mode):
+    # each VIA node lies on its own walk from A to C, and no walk visits both
+    net = mk_network([("A", "V", 1, 1, 0, 0), ("V", "C", 1, 1, 0, 0),
+                      ("A", "W", 1, 1, 0, 0), ("W", "C", 1, 1, 0, 0)])
+    inst = Instance(network=net, horizon=3,
+                    trains=(mk_train("T", "A", "C", 0, 3, via=["V", "W"]),),
+                    capacity_window=1, allow_dwell=False)
+    assert solve(milp.build(inst)).status == "infeasible"
+
+
+def test_matches_walk_oracle_on_random_instances(bound_mode):
+    rng = random.Random(3)
+    statuses = set()
+    for _ in range(400):
+        inst = random_walk_instance(rng)
+        res = solve(milp.build(inst))
+        assert (res.status, res.objective) == walk_oracle(inst), inst
+        if res.status == "optimal":
+            assert verify(inst, extract_solution(inst, res)) == []
+        statuses.add(res.status)
+    assert statuses == {"optimal", "infeasible"}

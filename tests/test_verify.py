@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from helpers import (line_instance, mk_network, mk_train,
-                     random_arborescence_instance, row_satisfied)
+                     random_arborescence_instance, row_satisfied, two_arc_line)
 from raildesign import milp, reduction, solver_bb
 from raildesign.model import (ConnectionRequirement, Instance, RoutedStep,
                               Solution)
@@ -164,12 +164,21 @@ def test_scenario_capacity_checked_per_scenario():
 
 
 def decode(inst, system, bits):
+    """The solution ``bits`` encode: one walk per routed train, with dwell
+    bits set exactly on the walk's waits; None for anything else."""
     result = solver_bb.SolveResult("optimal", dict(enumerate(bits)), None, None,
                                    {}, system)
     try:
-        return solver_bb.extract_solution(inst, result)
+        sol = solver_bb.extract_solution(inst, result)
     except solver_bb.DecodeError:
         return None
+    arcs = inst.network.arc_by_key()
+    waits = {(s.train, s.frm, tau) for steps in sol.routes.values()
+             for prev, s in zip(steps, steps[1:])
+             for tau in range(prev.depart + arcs[(prev.frm, prev.to)].travel_time, s.depart)}
+    on = {(m.train, m.node, m.t) for m, bit in zip(system.variables, bits)
+          if m.kind == "dwell" and bit}
+    return sol if on == waits else None
 
 
 def test_verifier_agrees_with_rows_exhaustively():
@@ -177,7 +186,9 @@ def test_verifier_agrees_with_rows_exhaustively():
         line_instance(c=1, ce=1, k=2, n_trains=1, horizon=2, dwell=False),
         line_instance(c=0, ce=1, k=1, n_trains=2, horizon=2, window=2,
                       dwell=False, headway_default=2),
-        line_instance(c=1, ce=0, k=0, n_trains=1, horizon=2, dwell=True),
+        two_arc_line(1, 4, dwell=True),
+        two_arc_line(2, 3, dwell=True, headway=2),
+        two_arc_line(2, 3, dwell=False, headway=1, c=0),
     ]
     checked = 0
     for inst in instances:

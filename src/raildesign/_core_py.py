@@ -66,9 +66,6 @@ class PropEngine:
                         else:
                             self.maxact[r] -= c
 
-    def value(self, var):
-        return self.values[var]
-
     def all_settled(self):
         return self.num_unsettled == 0
 

@@ -16,6 +16,12 @@ the weak bound and drops the basis.  Without HiGHS the bound is the exact
 rational sum of fixed costs plus all still-collectable negative objective
 coefficients; weak but admissible, with pruning power coming from
 propagation alone.
+
+A node is pruned only when its bound reaches the incumbent, so ``optimal``
+reports a bound equal to the objective.  The model lets each train depart
+at most once, so every feasible assignment routes each train on one walk;
+``extract_solution`` reads it back and raises ``DecodeError`` on anything
+else.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ _LP_MIN_VARS = 25
 class SolveLimits:
     time_limit: float | None = None
     node_limit: int | None = None
-    absolute_gap: Fraction = Fraction(0)
 
 
 @dataclass
@@ -160,73 +165,6 @@ def _most_fractional(x):
             bool(_np.all(_np.abs(x - _np.round(x)) <= 1e-6)))
 
 
-def _follow_walk(arcs, steps, origin, destination):
-    """Follow a train's active route steps from origin to destination.
-
-    ``steps`` holds (t, arc index, var id) in the caller's order; each move
-    takes the first step that leaves the current node at or after the time
-    the train arrived there.  Returns the walk as (arrival, t, arc, var id)
-    tuples, arrival being None on the first move, and the steps left over;
-    or None when no step continues the walk before the destination.
-    """
-    remaining = list(steps)
-    walk = []
-    node, now = origin, None
-    while node != destination:
-        for i, (t, ai, _vid) in enumerate(remaining):
-            if arcs[ai].frm == node and (now is None or t >= now):
-                break
-        else:
-            return None
-        t, ai, vid = remaining.pop(i)
-        walk.append((now, t, arcs[ai], vid))
-        node, now = arcs[ai].to, t + arcs[ai].travel_time
-    return walk, remaining
-
-
-def _trim_assignment(system, assignment):
-    """Zero route/dwell activity that is off every train's walk.
-
-    LP vertices can carry cost-neutral junk (a second walk of a train that
-    may depart more than once) that satisfies every row but cannot be read
-    back as one walk.  Returns a changed copy, or None when nothing was
-    trimmed / trimming failed.
-    """
-    inst = getattr(system, "instance", None)
-    if inst is None:
-        return None
-    net = inst.network
-    trains = inst.train_by_id()
-    by_train = {}
-    for vid, m in enumerate(system.variables):
-        if m.kind in ("route", "dwell") and assignment.get(vid) == 1:
-            by_train.setdefault(m.train, []).append(vid)
-    keep = dict(assignment)
-    changed = False
-    for tid, vids in by_train.items():
-        t = trains[tid]
-        steps = sorted((system.variables[v].t, system.variables[v].arc_index, v)
-                       for v in vids if system.variables[v].kind == "route")
-        decoded = _follow_walk(net.arcs, steps, t.origin, t.destination)
-        if decoded is None and not t.optional:
-            return None
-        # a broken optional walk is dropped whole; the penalty applies instead
-        walk = decoded[0] if decoded is not None else []
-        on_walk = set()
-        for now, tt, arc, v in walk:
-            if now is not None:
-                for tau in range(now, tt):
-                    dv = system.var_index.get(("dwell", tid, arc.frm, tau))
-                    if dv is not None:
-                        on_walk.add(dv)
-            on_walk.add(v)
-        for v in vids:
-            if v not in on_walk:
-                keep[v] = 0
-                changed = True
-    return keep if changed else None
-
-
 def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     limits = limits or SolveLimits()
     t_start = time.monotonic()
@@ -284,8 +222,6 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     incumbent_obj = None
     nodes = 0
     lp_calls = 0
-    gap = Fraction(limits.absolute_gap)
-    pruned_bound = None  # min bound among gap-pruned nodes
     hit_limit = False
 
     def lp_probe(state):
@@ -329,11 +265,6 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         """Record a feasible assignment if it improves the incumbent."""
         nonlocal incumbent, incumbent_obj
         value = assignment_objective(assignment)
-        trimmed = _trim_assignment(system, assignment)
-        if trimmed is not None and assignment_feasible(trimmed):
-            tval = assignment_objective(trimmed)
-            if tval <= value:
-                assignment, value = trimmed, tval
         if incumbent is None or value < incumbent_obj:
             incumbent = assignment
             incumbent_obj = value
@@ -350,14 +281,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         return engine.first_free(0) == -1
 
     def prune_check(b):
-        nonlocal pruned_bound
-        if incumbent is None or b is None:
-            return False
-        if b >= incumbent_obj - gap:
-            if gap > 0 and b < incumbent_obj:
-                pruned_bound = b if pruned_bound is None else min(pruned_bound, b)
-            return True
-        return False
+        return incumbent is not None and b is not None and b >= incumbent_obj
 
     # Depth-first search, iterative to dodge recursion limits.
     def search():
@@ -435,13 +359,12 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     stats = {"nodes": nodes, "wall_time": wall, "lp_calls": lp_calls}
 
     if hit_limit:
-        known = [x for x in (open_bound, pruned_bound, incumbent_obj) if x is not None]
+        known = [x for x in (open_bound, incumbent_obj) if x is not None]
         b = min(known) if known else None
         return SolveResult("limit_reached", incumbent, incumbent_obj, b, stats, system)
     if incumbent is None:
         return SolveResult("infeasible", None, None, None, stats, system)
-    b = incumbent_obj if pruned_bound is None else min(pruned_bound, incumbent_obj)
-    return SolveResult("optimal", incumbent, incumbent_obj, b, stats, system)
+    return SolveResult("optimal", incumbent, incumbent_obj, incumbent_obj, stats, system)
 
 
 class DecodeError(RuntimeError):
@@ -455,48 +378,45 @@ def extract_solution(instance, result: SolveResult) -> Solution:
     net = instance.network
     assignment = result.incumbent
 
-    expanded = []
-    for vid, meaning in enumerate(system.variables):
-        if meaning.kind == "expand" and assignment.get(vid) == 1:
-            arc = net.arcs[meaning.arc_index]
-            expanded.append((arc.frm, arc.to))
+    expanded = [net.arcs[m.arc_index] for vid, m in enumerate(system.variables)
+                if m.kind == "expand" and assignment.get(vid) == 1]
+    expansion_total = sum((arc.expansion_cost for arc in expanded), Fraction(0))
 
-    expansion_total = sum(
-        (net.arcs[m.arc_index].expansion_cost
-         for vid, m in enumerate(system.variables)
-         if m.kind == "expand" and assignment.get(vid) == 1),
-        Fraction(0),
-    )
-
-    active = {}  # train -> list of (t, arc index, var id)
+    active = {}  # train -> list of (t, arc index)
     for vid, meaning in enumerate(system.variables):
         if meaning.kind == "route" and assignment.get(vid) == 1:
-            active.setdefault(meaning.train, []).append((meaning.t, meaning.arc_index, vid))
+            active.setdefault(meaning.train, []).append((meaning.t, meaning.arc_index))
 
+    # Travel times are >= 1, so each step of a walk departs strictly later
+    # than the one before: in (t, arc) order the active steps must run from
+    # the origin, each leaving where the last one arrived, not before it
+    # arrived, and stop at the first arrival at the destination.
     routes = {}
     penalty_total = Fraction(0)
     for train in instance.trains:
-        steps_raw = sorted(active.get(train.id, []), key=lambda e: e[0])
-        if not steps_raw:
+        if train.id not in active:
             if train.optional:
                 penalty_total += train.penalty
                 continue
             raise DecodeError(f"non-optional train {train.id} has no active route variables")
-        decoded = _follow_walk(net.arcs, steps_raw, train.origin, train.destination)
-        if decoded is None:
-            raise DecodeError(f"route of train {train.id} is not a contiguous walk")
-        walk, remaining = decoded
         steps = []
-        for now, t, arc, _vid in walk:
+        node, now = train.origin, None
+        for t, ai in sorted(active[train.id]):
+            arc = net.arcs[ai]
+            if node == train.destination:
+                raise DecodeError(f"train {train.id} has active variables off its walk")
+            if arc.frm != node or (now is not None and t < now):
+                raise DecodeError(f"route of train {train.id} is not a contiguous walk")
             if now is not None and t > now and not instance.allow_dwell:
                 raise DecodeError(f"train {train.id} dwells although dwell is disabled")
             steps.append(RoutedStep(train=train.id, frm=arc.frm, to=arc.to, depart=t))
-        if remaining:
-            raise DecodeError(f"train {train.id} has active variables off its walk")
+            node, now = arc.to, t + arc.travel_time
+        if node != train.destination:
+            raise DecodeError(f"route of train {train.id} does not reach {train.destination}")
         routes[train.id] = tuple(steps)
 
     return Solution(
-        expanded_arcs=tuple(expanded),
+        expanded_arcs=tuple((arc.frm, arc.to) for arc in expanded),
         routes=routes,
         objective_value=expansion_total + penalty_total,
         expansion_cost_total=expansion_total,

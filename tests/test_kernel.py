@@ -21,7 +21,7 @@ def random_rows(rng, nvars):
 
 
 def snapshot(engine, nvars):
-    return ([engine.value(v) for v in range(nvars)],
+    return ([engine.values[v] for v in range(nvars)],
             engine.all_settled(),
             engine.first_free(0))
 
@@ -43,7 +43,7 @@ def check_sound(engine, rows, nvars, decisions, ok):
     assert ok == bool(sols)
     if not ok:
         return
-    fixed = {v: engine.value(v) for v in range(nvars) if engine.value(v) != FREE}
+    fixed = {v: engine.values[v] for v in range(nvars) if engine.values[v] != FREE}
     assert all(bits[v] == val for bits in sols for v, val in fixed.items())
     if engine.all_settled():
         assert len(sols) == 2 ** (nvars - len(fixed))
@@ -83,7 +83,7 @@ def test_engine_is_sound_on_random_scripts():
             else:
                 start = rng.randrange(nvars)
                 want = next((u for u in range(start, nvars)
-                             if engine.value(u) == FREE), -1)
+                             if engine.values[u] == FREE), -1)
                 assert engine.first_free(start) == want
 
 
@@ -92,4 +92,4 @@ def test_backend_reports_itself():
     assert solver_bb.PropEngine is _core_py.PropEngine
     e = _core_py.PropEngine(1, [[0]], [[1]], [0])
     assert e.propagate_root()
-    assert e.value(0) == 0  # coef 1 > slack 0 forces the variable to 0
+    assert e.values[0] == 0  # coef 1 > slack 0 forces the variable to 0

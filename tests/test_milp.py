@@ -183,6 +183,21 @@ def test_optional_train_objective_encoding():
     assert not any(r.name in ("dep_O", "arr_O") for r in system.rows)
 
 
+def test_every_train_departs_at_most_once():
+    # a mandatory train departs exactly once, an optional one at most once,
+    # whatever VIA nodes or connections it has
+    rng = random.Random(5)
+    for _ in range(100):
+        inst = random_walk_instance(rng)
+        deps = {}
+        for row in milp.build(inst).rows:
+            if row.name.startswith("dep_"):
+                deps.setdefault(row.name, []).append((row.sense, row.rhs))
+        want = {(f"dep_{t.id}_once" if t.optional else f"dep_{t.id}"):
+                [("<=" if t.optional else "=", 1)] for t in inst.trains}
+        assert deps == want, inst
+
+
 def test_no_penalty_terms_without_optional_trains():
     system = milp.build(line_instance(c=1, ce=1, k=5, n_trains=2, horizon=3))
     assert system.objective_constant == 0

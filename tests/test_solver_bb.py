@@ -124,14 +124,6 @@ def test_limit_bound_never_exceeds_optimum(q, subsets, seed):
         assert res.bound is not None and res.bound <= full.objective
 
 
-def test_absolute_gap():
-    inst = line_instance(c=0, ce=2, k=5, n_trains=2, horizon=1, window=1,
-                         dwell=False)
-    res = solve(milp.build(inst), SolveLimits(absolute_gap=Fraction(10)))
-    assert res.status == "optimal"
-    assert res.objective - res.bound <= 10
-
-
 def test_objective_includes_constant_shift():
     # optional train on a dead arc: only choice is to pay the penalty
     inst = line_instance(c=0, ce=0, k=0, n_trains=0, horizon=1, dwell=False)
@@ -277,15 +269,29 @@ def test_extract_decodes_routes_in_order():
     assert steps[0].depart + 1 <= steps[1].depart
 
 
-def test_extract_fails_loudly_on_garbage_incumbent():
-    inst = line_instance(c=1, ce=0, k=0, n_trains=1, horizon=2, dwell=False)
+@pytest.mark.parametrize("inst, steps, error", [
+    # train T0 loses its route
+    (line_instance(c=1, ce=0, k=0, n_trains=1, horizon=2, dwell=False), [],
+     "no active route"),
+    # T0 runs A->B twice
+    (line_instance(c=1, ce=0, k=0, n_trains=1, horizon=2, dwell=False), [(0, 0), (0, 1)],
+     "off its walk"),
+    # T0 leaves B at 1, before it arrives there at 2
+    (two_arc_line(1, horizon=3, dwell=False), [(0, 1), (1, 1)],
+     "not a contiguous walk"),
+    # T0 waits at B from 1 to 2 although dwell is off
+    (two_arc_line(1, horizon=3, dwell=False), [(0, 0), (1, 2)], "dwells"),
+    # T0 stops at B
+    (two_arc_line(1, horizon=3, dwell=False), [(0, 0)], "does not reach C"),
+], ids=["no-route", "second-walk", "departs-before-arrival", "dwells", "stops-short"])
+def test_extract_fails_loudly_on_garbage_incumbent(inst, steps, error):
     system = milp.build(inst)
     res = solve(system)
     bad = dict(res.incumbent)
     for vid, m in enumerate(system.variables):
         if m.kind == "route":
-            bad[vid] = 0  # train T0 loses its route
-    with pytest.raises(DecodeError):
+            bad[vid] = int((m.arc_index, m.t) in steps)
+    with pytest.raises(DecodeError, match=error):
         extract_solution(inst, solver_bb.SolveResult("optimal", bad,
                                                      res.objective, res.bound,
                                                      {}, system))

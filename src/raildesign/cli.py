@@ -32,25 +32,26 @@ def _load_validated(path, allow_multi_arcs=False):
 
 
 def _solve_with_mode(inst, mode, limits):
-    """Returns (status, solution or None, stats dict). Raises UnsupportedInstance
-    for an explicit mode that does not fit the instance."""
+    """Returns (status, solution or None, branch-and-bound result or None).
+    Raises UnsupportedInstance for an explicit mode that does not fit the
+    instance."""
     if mode in ("arborescence", "sp"):
         solver = (polycases.solve_arborescence if mode == "arborescence"
                   else polycases.solve_series_parallel)
         sol = solver(inst)
-        return ("optimal", sol, {}) if sol is not None else ("infeasible", None, {})
+        return ("optimal", sol, None) if sol is not None else ("infeasible", None, None)
     if mode == "auto":
         for solver in (polycases.solve_arborescence, polycases.solve_series_parallel):
             try:
                 sol = solver(inst)
             except polycases.UnsupportedInstance:
                 continue
-            return ("optimal", sol, {}) if sol is not None else ("infeasible", None, {})
+            return ("optimal", sol, None) if sol is not None else ("infeasible", None, None)
     system = milp.build(inst)
     result = solver_bb.solve(system, limits)
     if result.status == "optimal":
-        return "optimal", solver_bb.extract_solution(inst, result), result.stats
-    return result.status, None, result.stats
+        return "optimal", solver_bb.extract_solution(inst, result), result
+    return result.status, None, result
 
 
 def cmd_solve(args):
@@ -60,7 +61,7 @@ def cmd_solve(args):
     limits = solver_bb.SolveLimits(time_limit=args.time_limit,
                                    node_limit=args.node_limit)
     try:
-        status, sol, stats = _solve_with_mode(inst, args.mode, limits)
+        status, sol, result = _solve_with_mode(inst, args.mode, limits)
     except polycases.UnsupportedInstance as exc:
         print(f"error: mode {args.mode}: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -69,15 +70,21 @@ def cmd_solve(args):
         print(f"objective: {cost_to_json(sol.objective_value)}")
         print(f"expansion_cost_total: {cost_to_json(sol.expansion_cost_total)}")
         print(f"penalty_total: {cost_to_json(sol.penalty_total)}")
-        if stats:
-            print(f"nodes: {stats.get('nodes')}")
+        if result is not None:
+            print(f"nodes: {result.stats['nodes']}")
         if args.output:
             save_solution(sol, args.output)
         return EXIT_OK
     if status == "infeasible":
         print("status: infeasible")
         return EXIT_INFEASIBLE
+    # what the search knows when it stops; a non-optimal result writes no file
     print("status: limit_reached")
+    print(f"nodes: {result.stats['nodes']}")
+    if result.bound is not None:
+        print(f"bound: {cost_to_json(result.bound)}")
+    if result.objective is not None:
+        print(f"objective: {cost_to_json(result.objective)}")
     return EXIT_LIMIT
 
 

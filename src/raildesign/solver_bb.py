@@ -7,8 +7,14 @@ With HiGHS available (SciPy's ``scipy.optimize._highspy``) the linear
 relaxation is solved at every node.  Each solve builds one HiGHS LP, once,
 from the normalized rows; a node only changes the column bounds to the
 engine's current fixings and re-runs, so dual simplex warm-starts from the
-previous node's basis.  The relaxation supplies the lower bound,
-most-fractional branching, and integral vertices as incumbent candidates.
+previous node's basis.  The relaxation supplies the lower bound, the
+branching variable, and integral vertices as incumbent candidates.
+Branching is design first: the most fractional free expansion variable when
+any is fractional, otherwise the most fractional free variable of any kind.
+This is fixed-charge network design, so once the expansions are fixed only
+the feasibility of the routes is left to decide.  Without the relaxation the
+search takes the first free variable, and ``milp.build`` numbers the
+expansion variables first.
 Candidates and bounds are always re-validated exactly -- the float LP only
 guides pruning, never certifies feasibility or the final objective.  Only
 an LP proven infeasible prunes; any other non-optimal status falls back to
@@ -165,6 +171,18 @@ def _most_fractional(x):
             bool(_np.all(_np.abs(x - _np.round(x)) <= 1e-6)))
 
 
+def _branch_position(x, design):
+    """``_most_fractional`` of ``x``, except that the position is the most
+    fractional entry where ``design`` is true, if one of those is fractional."""
+    i, integral = _most_fractional(x)
+    d = _np.flatnonzero(design)
+    if d.size:
+        j, design_integral = _most_fractional(x[d])
+        if not design_integral:
+            i = int(d[j])
+    return i, integral
+
+
 def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     limits = limits or SolveLimits()
     t_start = time.monotonic()
@@ -260,6 +278,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         for v, cf in obj.items():
             c_vec[v] = float(cf)
         lp = _lp_model(irows, nvars, c_vec)
+        design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
 
     def consider(assignment):
         """Record a feasible assignment if it improves the incumbent."""
@@ -318,7 +337,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             if relax is not None:
                 free = _np.flatnonzero(state == FREE)
                 x = relax[free]
-                i, integral = _most_fractional(x)
+                i, integral = _branch_position(x, design[free])
                 v = int(free[i])
                 if integral:
                     # the relaxation vertex is 0-1: validate it exactly

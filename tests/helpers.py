@@ -61,6 +61,26 @@ def two_arc_line(n_trains, horizon, dwell=True, headway=0, c=1):
                     capacity_window=1, allow_dwell=dwell)
 
 
+def corridor_instance(seed, n_stations, n_trains):
+    """The benchmark's corridor shape: a line S0..S<n-1> with travel times
+    alternating 1, 2, capacity 1 and 1 expandable at a seeded cost of 1-9;
+    trains from S0 to the last station depart 0, 2, 3, ... steps apart
+    (cycling, so a gap of 0 bunches two) with slack 2, under headway 2,
+    capacity window 2 and dwell."""
+    rng = random.Random(seed)
+    names = [f"S{i}" for i in range(n_stations)]
+    net = mk_network([(a, b, 1 + i % 2, 1, 1, rng.randint(1, 9))
+                      for i, (a, b) in enumerate(zip(names, names[1:]))],
+                     headways=HeadwayTable(default=2))
+    run = sum(a.travel_time for a in net.arcs)
+    trains, dep = [], 0
+    for k in range(n_trains):
+        trains.append(mk_train(f"T{k:02d}", names[0], names[-1], dep, dep + run + 2))
+        dep += (0, 2, 3)[k % 3]
+    return Instance(network=net, horizon=max(t.latest_arrival for t in trains),
+                    trains=tuple(trains), capacity_window=2, allow_dwell=True)
+
+
 def row_satisfied(row, bits):
     lhs = sum(Fraction(c) * bits[v] for v, c in row.terms)
     if row.sense == "<=":

@@ -35,6 +35,22 @@ def test_solve_limit(tmp_path):
                      "--mode", "milp"]) == 3
 
 
+def test_solve_limit_reports_bound(tmp_path, capsys):
+    path = str(tmp_path / "x3c.json")
+    assert cli.main(["gen-x3c", "--q", "3", "--subsets", "8", "--seed", "4", "-o", path]) == 0
+    assert cli.main(["solve", path]) == 0
+    optimum = int(re.search(r"^objective: (\d+)$", capsys.readouterr().out, re.M).group(1))
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", path, "--node-limit", "2", "-o", str(out)]) == 3
+    printed = capsys.readouterr().out
+    assert printed.startswith("status: limit_reached\nnodes: ")
+    bound = re.search(r"^bound: (\d+)$", printed, re.M)
+    assert bound and int(bound.group(1)) <= optimum
+    incumbent = re.search(r"^objective: (\d+)$", printed, re.M)
+    assert incumbent is None or int(incumbent.group(1)) >= optimum
+    assert not out.exists()
+
+
 def test_solve_bad_file(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{]")

@@ -198,6 +198,19 @@ def test_every_train_departs_at_most_once():
         assert deps == want, inst
 
 
+def test_expansion_variables_come_first():
+    # the no-LP search branches on the first free variable, so it settles
+    # the design before any route or dwell
+    rng = random.Random(8)
+    for _ in range(100):
+        inst = random_walk_instance(rng)
+        variables = milp.build(inst).variables
+        n_arcs = len(inst.network.arcs)
+        assert [(m.kind, m.arc_index) for m in variables[:n_arcs]] == \
+            [("expand", ai) for ai in range(n_arcs)], inst
+        assert all(m.kind in ("route", "dwell") for m in variables[n_arcs:]), inst
+
+
 def test_no_penalty_terms_without_optional_trains():
     system = milp.build(line_instance(c=1, ce=1, k=5, n_trains=2, horizon=3))
     assert system.objective_constant == 0

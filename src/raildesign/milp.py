@@ -5,16 +5,24 @@ it can use on a walk from its origin, departing in its window, to its
 destination, arriving in its window (``expand``).  A walk never re-enters
 the origin and ends at its first arrival at the destination.  Row
 families, in emission order: capacity (every window, used or not),
-departure, arrival, headway, flow conservation, connections, VIA.  Row
-names double as machine tags,
-e.g. ``cap_<from>_<to>_<scenario>_<t0>``.  The capacity window is
-half-open [t0, t0 + window): "c trains per window" is meant literally and
-window = 1 means "per time step".
+departure, arrival, headway, flow conservation, connections, VIA.
+
+Rows find their terms in one per-train slot index that ``build`` fills as
+it creates the variables: the train's (departure, variable) pairs per arc,
+and the terms of each flow row it touches.  No row looks up a slot that
+does not exist.  The expansion variable of arc ``i`` is variable ``i``.
+
+Row names double as machine tags, e.g. ``cap_<from>_<to>_<scenario>_<t0>``;
+each id is sanitised to ``[A-Za-z0-9]`` once per build, and a name that
+repeats an earlier one gets a ``__2``, ``__3``, ... suffix.  The capacity
+window is half-open [t0, t0 + window): "c trains per window" is meant
+literally and window = 1 means "per time step".
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -45,15 +53,12 @@ class ConstraintSystem:
     rows: list = field(default_factory=list)
     objective: list = field(default_factory=list)  # of (var id, Fraction)
     objective_constant: Fraction = Fraction(0)
-    var_index: dict = field(default_factory=dict)  # meaning key -> var id
     instance: object = None  # source instance, kept for solution decoding
 
-    def add_var(self, meaning: VarMeaning, name: str, key) -> int:
-        vid = len(self.variables)
+    def add_var(self, meaning: VarMeaning, name: str) -> int:
         self.variables.append(meaning)
         self.var_names.append(name)
-        self.var_index[key] = vid
-        return vid
+        return len(self.variables) - 1
 
 
 class BuildError(ValueError):
@@ -64,12 +69,12 @@ _SANITIZE = re.compile(r"[^A-Za-z0-9]")
 
 
 def _mk_namer():
+    """Unique names: the first use of a name keeps it, later ones get
+    ``__2``, ``__3``, ...  Callers pass names whose ids are already
+    sanitised (``_SANITIZE``) and that start with a family prefix."""
     used = set()
 
-    def name(*parts):
-        base = "_".join(_SANITIZE.sub("x", str(p)) for p in parts)
-        if not re.match(r"[A-Za-z_]", base):
-            base = "n" + base
+    def name(base):
         candidate = base
         k = 2
         while candidate in used:
@@ -154,36 +159,48 @@ def build(instance) -> ConstraintSystem:
     scenarios = effective_scenarios(instance)
 
     sys = ConstraintSystem(instance=instance)
-    namer = _mk_namer()
+    name = _mk_namer()
+    tag = {x: _SANITIZE.sub("x", str(x))
+           for x in [n.id for n in net.nodes] + list(trains) + [sc.id for sc in scenarios]}
+    arc_tag = [f"{tag[a.frm]}_{tag[a.to]}" for a in net.arcs]
 
-    # Variables: expansion first, then per train (lexicographic) by
-    # (time, movement-before-dwell, arc/node index), over the train's slots.
-    for ai, arc in enumerate(net.arcs):
-        sys.add_var(VarMeaning("expand", arc_index=ai),
-                    namer("b", arc.frm, arc.to), ("expand", ai))
+    # Variables: expansion first, so the expansion variable of arc ai is ai,
+    # then per train (lexicographic) by (time, movement-before-dwell,
+    # arc/node index), over the train's slots.  Each slot is filed as it is
+    # created: runs[tid][ai] lists the train's (departure t, var id) on arc
+    # ai in ascending t; flows[tid][node position, t] the terms of the flow
+    # row at (node, t) with an order key: arrivals by arc, the dwell in,
+    # departures by arc, the dwell out.  No slot enters the origin or leaves
+    # the destination, so only the origin's departures and the destination's
+    # arrivals stay unfiled: neither place has a flow row.
+    n_arcs = len(net.arcs)
+    for ai in range(n_arcs):
+        sys.add_var(VarMeaning("expand", arc_index=ai), name(f"b_{arc_tag[ai]}"))
     node_pos = {n.id: i for i, n in enumerate(net.nodes)}
-    departs = {}  # train -> arc index -> ascending departure times of its slots
+    runs, flows = {}, {}
     for tid in sorted(trains):
-        movements, dwells = expand(net, horizon, trains[tid], instance.allow_dwell)
+        tr = trains[tid]
+        movements, dwells = expand(net, horizon, tr, instance.allow_dwell)
         entries = [(t, 0, ai) for ai, t in movements]
         entries += [(t, 1, node_pos[node]) for node, t in dwells]
-        by_arc = departs[tid] = {}
+        run = runs[tid] = {}
+        flow = flows[tid] = defaultdict(list)
         for (t, kind, idx) in sorted(entries):
             if kind == 0:
                 arc = net.arcs[idx]
-                by_arc.setdefault(idx, []).append(t)
-                sys.add_var(VarMeaning("route", arc_index=idx, train=tid, t=t),
-                            namer("x", tid, arc.frm, arc.to, t), ("route", tid, idx, t))
+                vid = sys.add_var(VarMeaning("route", arc_index=idx, train=tid, t=t),
+                                  name(f"x_{tag[tid]}_{arc_tag[idx]}_{t}"))
+                run.setdefault(idx, []).append((t, vid))
+                if arc.frm != tr.origin:
+                    flow[node_pos[arc.frm], t].append((n_arcs + 1 + idx, vid, -1))
+                if arc.to != tr.destination:
+                    flow[node_pos[arc.to], t + arc.travel_time].append((idx, vid, 1))
             else:
                 node = net.nodes[idx].id
-                sys.add_var(VarMeaning("dwell", train=tid, node=node, t=t),
-                            namer("w", tid, node, t), ("dwell", tid, node, t))
-
-    def route_var(tid, ai, t):
-        return sys.var_index.get(("route", tid, ai, t))
-
-    def dwell_var(tid, node, t):
-        return sys.var_index.get(("dwell", tid, node, t))
+                vid = sys.add_var(VarMeaning("dwell", train=tid, node=node, t=t),
+                                  name(f"w_{tag[tid]}_{tag[node]}_{t}"))
+                flow[idx, t].append((2 * n_arcs + 1, vid, -1))
+                flow[idx, t + 1].append((n_arcs, vid, 1))
 
     arcs_out = {}  # node -> list of arc indexes
     arcs_in = {}
@@ -191,9 +208,10 @@ def build(instance) -> ConstraintSystem:
         arcs_out.setdefault(arc.frm, []).append(ai)
         arcs_in.setdefault(arc.to, []).append(ai)
 
-    def route_terms(tid, arc_indexes, coef=1):
-        return [(sys.var_index[("route", tid, ai, t)], coef)
-                for ai in arc_indexes for t in departs[tid].get(ai, ())]
+    def route_terms(tid, arc_indexes, coef=1, until=horizon):
+        """The train's route variables on these arcs departing by ``until``."""
+        return [(vid, coef) for ai in arc_indexes
+                for t, vid in runs[tid].get(ai, ()) if t <= until]
 
     # Objective: expansion costs, minus a reward for each departure of an
     # optional train (constant-shifted so the optimum equals expansion plus
@@ -201,7 +219,7 @@ def build(instance) -> ConstraintSystem:
     # negative coefficient cannot be collected twice.
     for ai, arc in enumerate(net.arcs):
         if arc.expansion_cost != 0:
-            sys.objective.append((sys.var_index[("expand", ai)], Fraction(arc.expansion_cost)))
+            sys.objective.append((ai, Fraction(arc.expansion_cost)))
     for tid in sorted(trains):
         tr = trains[tid]
         if tr.optional:
@@ -209,20 +227,20 @@ def build(instance) -> ConstraintSystem:
             sys.objective_constant += Fraction(tr.penalty)
 
     # Capacity: one row per (arc, scenario, window start), linearized as
-    # sum x - expandable * b <= capacity.
+    # sum x - expandable * b <= capacity.  A departure at t counts in the
+    # windows starting at t - window + 1 .. t.
+    last = horizon - window + 1
     for ai, arc in enumerate(net.arcs):
-        bvid = sys.var_index[("expand", ai)]
         for sc in scenarios:
-            for t0 in range(0, horizon - window + 2):
-                terms = []
-                for tid in sc.train_ids:
-                    for t in range(t0, t0 + window):
-                        vid = route_var(tid, ai, t)
-                        if vid is not None:
-                            terms.append((vid, 1))
-                terms.append((bvid, -arc.expandable_capacity))
+            windows = [[] for _ in range(last + 1)]
+            for tid in sc.train_ids:
+                for t, vid in runs[tid].get(ai, ()):
+                    for t0 in range(max(0, t - window + 1), min(t, last) + 1):
+                        windows[t0].append((vid, 1))
+            for t0, terms in enumerate(windows):
+                terms.append((ai, -arc.expandable_capacity))
                 sys.rows.append(LinearRow(terms, "<=", arc.capacity,
-                                          namer("cap", arc.frm, arc.to, sc.id, t0)))
+                                          name(f"cap_{arc_tag[ai]}_{tag[sc.id]}_{t0}")))
 
     # Departure and arrival.  Every slot out of the origin departs in the
     # window and every slot into the destination arrives in it.  A mandatory
@@ -234,99 +252,69 @@ def build(instance) -> ConstraintSystem:
         tr = trains[tid]
         deps = route_terms(tid, arcs_out.get(tr.origin, []))
         if tr.optional:
-            sys.rows.append(LinearRow(deps, "<=", 1, namer("dep", tid, "once")))
+            sys.rows.append(LinearRow(deps, "<=", 1, name(f"dep_{tag[tid]}_once")))
         else:
-            sys.rows.append(LinearRow(deps, "=", 1, namer("dep", tid)))
+            sys.rows.append(LinearRow(deps, "=", 1, name(f"dep_{tag[tid]}")))
             sys.rows.append(LinearRow(route_terms(tid, arcs_in.get(tr.destination, [])),
-                                      ">=", 1, namer("arr", tid)))
+                                      ">=", 1, name(f"arr_{tag[tid]}")))
 
     # Minimum headway, per scenario; trains shared by scenarios get one row
-    # under each scenario tag.  Rows are vacuous from the first gap of M on.
+    # under each scenario tag.  Rows are vacuous from the first gap of M on
+    # (that pair's name is still taken), and on an arc with no positive
+    # headway.
+    hw_arcs = {(frm, to) for (frm, to, _v1, _v2), m in net.headways.entries.items() if m > 0}
     for ai, arc in enumerate(net.arcs):
+        if net.headways.default <= 0 and arc.key not in hw_arcs:
+            continue
         for sc in scenarios:
-            for v1 in sc.train_ids:
-                for v2 in sc.train_ids:
+            on_arc = [(v, runs[v][ai]) for v in sc.train_ids if ai in runs[v]]
+            for v1, run1 in on_arc:
+                for v2, run2 in on_arc:
                     if v1 == v2:
                         continue
                     M = net.headways.get(arc.frm, arc.to, v1, v2)
                     if M <= 0:
                         continue
-                    for t1 in departs[v1].get(ai, ()):
-                        for t2 in departs[v2].get(ai, ()):
+                    prefix = f"hw_{arc_tag[ai]}_{tag[sc.id]}_{tag[v1]}_{tag[v2]}"
+                    for t1, x1 in run1:
+                        for t2, x2 in run2:
                             if t1 >= t2:
                                 continue
-                            row = headway_row(
-                                M, t1, t2, route_var(v1, ai, t1), route_var(v2, ai, t2),
-                                name=namer("hw", arc.frm, arc.to, sc.id, v1, v2, t1, t2))
+                            row = headway_row(M, t1, t2, x1, x2,
+                                              name=name(f"{prefix}_{t1}_{t2}"))
                             if row is None:
                                 break
                             sys.rows.append(row)
 
-    # Flow conservation at every time node except the train's own origin
-    # and destination; dwell appears on both sides when enabled.
+    # Flow conservation at every time node of the train's slots except its
+    # own origin and destination; dwell appears on both sides when enabled.
     for tid in sorted(trains):
-        tr = trains[tid]
-        for node in net.nodes:
-            if node.id in (tr.origin, tr.destination):
-                continue
-            for t in range(0, horizon + 1):
-                terms = []
-                for ai in arcs_in.get(node.id, []):
-                    dep = t - net.arcs[ai].travel_time
-                    vid = route_var(tid, ai, dep)
-                    if vid is not None:
-                        terms.append((vid, 1))
-                if instance.allow_dwell:
-                    vid = dwell_var(tid, node.id, t - 1)
-                    if vid is not None:
-                        terms.append((vid, 1))
-                for ai in arcs_out.get(node.id, []):
-                    vid = route_var(tid, ai, t)
-                    if vid is not None:
-                        terms.append((vid, -1))
-                if instance.allow_dwell:
-                    vid = dwell_var(tid, node.id, t)
-                    if vid is not None:
-                        terms.append((vid, -1))
-                if terms:
-                    sys.rows.append(LinearRow(terms, "=", 0, namer("flow", tid, node.id, t)))
+        flow = flows[tid]
+        for pos, t in sorted(flow):
+            terms = [(vid, coef) for _key, vid, coef in sorted(flow[pos, t])]
+            sys.rows.append(LinearRow(terms, "=", 0,
+                                      name(f"flow_{tag[tid]}_{tag[net.nodes[pos].id]}_{t}")))
 
     # Connections, in cumulative form: arrivals of the feeder at the station
     # up to t dominate departures of the connecting train up to t.
     for c in instance.connections:
+        prefix = f"conn_{tag[c.station]}_{tag[c.feeder]}_{tag[c.connecting]}"
+        feeds = [(t + net.arcs[ai].travel_time, vid) for ai in arcs_in.get(c.station, [])
+                 for t, vid in runs[c.feeder].get(ai, ())]
         for t in range(0, horizon + 1):
-            terms = []
-            for ai in arcs_in.get(c.station, []):
-                arc = net.arcs[ai]
-                for dep in range(0, horizon + 1):
-                    if dep + arc.travel_time > t:
-                        continue
-                    vid = route_var(c.feeder, ai, dep)
-                    if vid is not None:
-                        terms.append((vid, 1))
-            for ai in arcs_out.get(c.station, []):
-                for dep in range(0, t + 1):
-                    vid = route_var(c.connecting, ai, dep)
-                    if vid is not None:
-                        terms.append((vid, -1))
+            terms = [(vid, 1) for at, vid in feeds if at <= t]
+            terms += route_terms(c.connecting, arcs_out.get(c.station, []), -1, until=t)
             if terms:
-                sys.rows.append(LinearRow(terms, ">=", 0,
-                                          namer("conn", c.station, c.feeder, c.connecting, t)))
-        dep_terms = []
-        for ai in arcs_out.get(c.station, []):
-            for t in range(0, horizon + 1):
-                vid = route_var(c.connecting, ai, t)
-                if vid is not None:
-                    dep_terms.append((vid, 1))
-        sys.rows.append(LinearRow(dep_terms, ">=", 1,
-                                  namer("conn", c.station, c.feeder, c.connecting, "dep")))
+                sys.rows.append(LinearRow(terms, ">=", 0, name(f"{prefix}_{t}")))
+        sys.rows.append(LinearRow(route_terms(c.connecting, arcs_out.get(c.station, [])),
+                                  ">=", 1, name(f"{prefix}_dep")))
 
     # VIA: the train departs from the required node at least once.
     for tid in sorted(trains):
         tr = trains[tid]
         for n in tr.via_nodes:
             sys.rows.append(LinearRow(route_terms(tid, arcs_out.get(n, [])), ">=", 1,
-                                      namer("via", tid, n)))
+                                      name(f"via_{tag[tid]}_{tag[n]}")))
 
     return sys
 

@@ -50,10 +50,6 @@ except ImportError:  # pragma: no cover - scipy is a soft dependency
     _HAVE_LP = False
 
 
-# Relaxation bounds only pay off once plain enumeration stops being instant.
-_LP_MIN_VARS = 25
-
-
 @dataclass(frozen=True)
 class SolveLimits:
     time_limit: float | None = None
@@ -272,8 +268,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                                    {"nodes": 1, "wall_time": time.monotonic() - t_start},
                                    system)
 
-    use_lp = _HAVE_LP and nvars >= _LP_MIN_VARS
-    if use_lp:
+    if _HAVE_LP:
         c_vec = _np.zeros(nvars)
         for v, cf in obj.items():
             c_vec[v] = float(cf)
@@ -309,16 +304,16 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         def enter(hint):
             """Process a node; push a frame or record a leaf. Returns False to backtrack."""
             nonlocal nodes, hit_limit
-            nodes += 1
-            if limits.node_limit is not None and nodes > limits.node_limit:
+            # a node counts once it is processed; the clock is read every
+            # 16th node
+            if (limits.node_limit is not None and nodes >= limits.node_limit) or (
+                    limits.time_limit is not None and (nodes + 1) % 16 == 0
+                    and time.monotonic() - t_start > limits.time_limit):
                 hit_limit = True
                 return False
-            if limits.time_limit is not None and nodes % 16 == 0:
-                if time.monotonic() - t_start > limits.time_limit:
-                    hit_limit = True
-                    return False
+            nodes += 1
             relax = b = None
-            if use_lp:
+            if _HAVE_LP:
                 state = _np.array(values)
                 feasible, b, relax = lp_probe(state)
                 if not feasible:

@@ -134,6 +134,17 @@ def test_headway_rows_enumerated():
                      for t1, t2 in ((0, 1), (1, 2))}
 
 
+def test_headway_entries_apply_to_their_arc_and_pair_only():
+    # default 0: only the one positive entry (B->C, T0 leading T1) gives rows
+    net = mk_network([("A", "B", 1, 5, 0, 0), ("B", "C", 1, 5, 0, 0)],
+                     headways=HeadwayTable(entries={("B", "C", "T0", "T1"): 2,
+                                                    ("A", "B", "T1", "T0"): 0}))
+    inst = Instance(network=net, horizon=3, capacity_window=1, allow_dwell=False,
+                    trains=(mk_train("T0", "A", "C", 0, 3), mk_train("T1", "A", "C", 0, 3)))
+    hw = [r.name for r in milp.build(inst).rows if r.name.startswith("hw_")]
+    assert hw == ["hw_B_C_all_T0_T1_1_2"]
+
+
 def test_headway_rows_never_mix_scenarios():
     inst = line_instance(c=5, ce=0, k=0, n_trains=4, horizon=3, window=1,
                          dwell=False, headway_default=3)
@@ -256,10 +267,31 @@ def test_build_is_deterministic():
 # -- LP export / parse -------------------------------------------------------
 
 
-def test_export_golden():
-    inst = line_instance(c=1, ce=1, k=5, n_trains=1, horizon=2, window=1,
-                         dwell=False)
-    assert milp.export_lp(milp.build(inst)) == (DATA / "tiny.lp").read_text()
+def families_instance():
+    """Every row family (cap, dep and dep_once, arr, hw, flow with a dwell at
+    an inner node, conn, via) under two scenarios, an optional train with a
+    fractional penalty, and stations S-1 and S.1, which sanitise alike, so
+    names get the __2 suffix."""
+    net = mk_network([("A", "S-1", 1, 1, 1, 3), ("S-1", "S.1", 1, 1, 1, 2),
+                      ("A", "S.1", 2, 0, 1, "5/2"), ("S.1", "C", 1, 1, 1, 4)],
+                     headways=HeadwayTable(default=2))
+    trains = (mk_train("T0", "A", "C", 0, 4, via=("S-1",)),
+              mk_train("T1", "A", "S.1", 0, 3),
+              mk_train("T2", "S.1", "C", 1, 4),
+              mk_train("T3", "A", "C", 1, 4, optional=True, penalty="7/2"))
+    return Instance(network=net, horizon=4, trains=trains,
+                    connections=(ConnectionRequirement("S.1", "T1", "T2"),),
+                    scenarios=(Scenario("S1", ("T0", "T1", "T2")),
+                               Scenario("S2", ("T0", "T3"))),
+                    capacity_window=2, allow_dwell=True)
+
+
+@pytest.mark.parametrize("inst, golden", [
+    (line_instance(c=1, ce=1, k=5, n_trains=1, horizon=2, window=1, dwell=False), "tiny.lp"),
+    (families_instance(), "families.lp"),
+], ids=["tiny", "families"])
+def test_export_golden(inst, golden):
+    assert milp.export_lp(milp.build(inst)) == (DATA / golden).read_text()
 
 
 def test_export_empty_system():

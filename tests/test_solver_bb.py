@@ -19,9 +19,7 @@ from raildesign.verify import verify
 @pytest.fixture(params=["lp", "fallback"])
 def bound_mode(request, monkeypatch):
     """Exercise both the relaxation bound and the trivial-bound fallback."""
-    if request.param == "lp":
-        monkeypatch.setattr(solver_bb, "_LP_MIN_VARS", 0)
-    else:
+    if request.param == "fallback":
         monkeypatch.setattr(solver_bb, "_HAVE_LP", False)
     return request.param
 
@@ -105,6 +103,13 @@ def x3c_system(q, subsets, seed):
     return milp.build(inst)
 
 
+@pytest.mark.parametrize("node_limit", range(4))
+def test_node_limit_counts_processed_nodes(bound_mode, node_limit):
+    # the node that trips the limit is not processed, so it is not counted
+    res = solve(x3c_system(3, 8, 4), SolveLimits(node_limit=node_limit))
+    assert res.status == "limit_reached" and res.stats["nodes"] == node_limit
+
+
 def test_limit_bound_counts_open_subtrees():
     # the unlimited solve proves the optimum is 9, so no valid bound exceeds it
     res = solve(x3c_system(3, 8, 4), SolveLimits(node_limit=10))
@@ -146,7 +151,7 @@ def test_fractional_costs_stay_exact():
 def test_normalized_rows():
     sys = ConstraintSystem()
     for i in range(2):
-        sys.add_var(VarMeaning("expand", arc_index=i), f"b{i}", ("expand", i))
+        sys.add_var(VarMeaning("expand", arc_index=i), f"b{i}")
     sys.rows.append(LinearRow([(0, Fraction(1, 2)), (1, Fraction(1, 3))],
                               "<=", Fraction(5, 6), "r1"))
     sys.rows.append(LinearRow([(0, 1)], "=", 1, "r2"))
@@ -176,7 +181,7 @@ def test_integer_fast_path_matches_fractions():
 def no_row_system():
     sys = ConstraintSystem()
     for i, cost in enumerate((3, -2, 0, Fraction(-1, 2))):
-        sys.add_var(VarMeaning("expand", arc_index=i), f"b{i}", ("expand", i))
+        sys.add_var(VarMeaning("expand", arc_index=i), f"b{i}")
         sys.objective.append((i, cost))
     return sys
 
@@ -276,7 +281,6 @@ def test_design_first_branching_on_corridors(monkeypatch, seed):
     # fractional expansion first settles these in a handful of nodes
     # (branching on any most fractional variable took 23 to 44)
     system = milp.build(corridor_instance(seed, 3, 5))
-    assert len(system.variables) >= solver_bb._LP_MIN_VARS
     res = solve(system)
     assert res.status == "optimal" and res.stats["lp_calls"] > 0
     assert res.stats["nodes"] <= 7
@@ -325,7 +329,7 @@ def test_extract_fails_loudly_on_garbage_incumbent(inst, steps, error):
 
 def test_constant_row_contradiction():
     sys = ConstraintSystem()
-    sys.add_var(VarMeaning("expand", arc_index=0), "b0", ("expand", 0))
+    sys.add_var(VarMeaning("expand", arc_index=0), "b0")
     sys.rows.append(LinearRow([], "<=", -1, "never"))
     assert solve(sys).status == "infeasible"
 

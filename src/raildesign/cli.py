@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from . import milp, polycases, reduction, solver_bb, verify as verify_mod
+from . import milp, polycases, reduction, verify as verify_mod
 from .model import (InstanceError, cost_to_json, load_instance, load_solution,
                     save_instance, save_solution, validate_instance)
 
@@ -47,6 +47,8 @@ def _solve_with_mode(inst, mode, limits):
             except polycases.UnsupportedInstance:
                 continue
             return ("optimal", sol, None) if sol is not None else ("infeasible", None, None)
+    from . import solver_bb
+
     system = milp.build(inst)
     result = solver_bb.solve(system, limits)
     if result.status == "optimal":
@@ -55,6 +57,8 @@ def _solve_with_mode(inst, mode, limits):
 
 
 def cmd_solve(args):
+    from . import solver_bb  # NumPy and HiGHS load only for a solve
+
     inst = _load_validated(args.instance)
     if inst is None:
         return EXIT_INPUT

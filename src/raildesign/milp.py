@@ -260,8 +260,7 @@ def build(instance) -> ConstraintSystem:
 
     # Minimum headway, per scenario; trains shared by scenarios get one row
     # under each scenario tag.  Rows are vacuous from the first gap of M on
-    # (that pair's name is still taken), and on an arc with no positive
-    # headway.
+    # (no row, so no name), and on an arc with no positive headway.
     hw_arcs = {(frm, to) for (frm, to, _v1, _v2), m in net.headways.entries.items() if m > 0}
     for ai, arc in enumerate(net.arcs):
         if net.headways.default <= 0 and arc.key not in hw_arcs:
@@ -280,11 +279,10 @@ def build(instance) -> ConstraintSystem:
                         for t2, x2 in run2:
                             if t1 >= t2:
                                 continue
-                            row = headway_row(M, t1, t2, x1, x2,
-                                              name=name(f"{prefix}_{t1}_{t2}"))
-                            if row is None:
+                            if t2 - t1 >= M:  # later t2 only widen the gap
                                 break
-                            sys.rows.append(row)
+                            sys.rows.append(headway_row(M, t1, t2, x1, x2,
+                                                        name=name(f"{prefix}_{t1}_{t2}")))
 
     # Flow conservation at every time node of the train's slots except its
     # own origin and destination; dwell appears on both sides when enabled.

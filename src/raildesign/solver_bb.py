@@ -3,11 +3,14 @@
 Rows are normalized to integer coefficients and handed, in <= form, to the
 propagation engine in ``raildesign._core_py``.  Search is depth-first.
 
-With HiGHS available (SciPy's ``scipy.optimize._highspy``) the linear
-relaxation is solved at every node.  Each solve builds one HiGHS LP, once,
-from the normalized rows; a node only changes the column bounds to the
-engine's current fixings and re-runs, so dual simplex warm-starts from the
-previous node's basis.  The relaxation supplies the lower bound, the
+With HiGHS available the linear relaxation is solved at every node.  HiGHS
+comes from SciPy's compiled ``optimize/_highspy/_core`` extension, loaded
+from its file without importing ``scipy.optimize``; without that file the
+package import is the fallback, and without either the search runs on
+propagation alone.  Each solve builds one HiGHS LP, once, from the
+normalized rows; a node only changes the column bounds to the engine's
+current fixings and re-runs, so dual simplex warm-starts from the previous
+node's basis.  The relaxation supplies the lower bound, the
 branching variable, and integral vertices as incumbent candidates.
 Branching is design first: the most fractional free expansion variable when
 any is fractional, otherwise the most fractional free variable of any kind.
@@ -32,7 +35,10 @@ else.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import time
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -42,9 +48,34 @@ from math import lcm
 from ._core_py import FREE, PropEngine
 from .model import RoutedStep, Solution
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """SciPy's compiled HiGHS binding, loaded from its own file.
+
+    Importing it as a submodule would first run ``scipy.optimize``'s
+    ``__init__`` (linalg, sparse, the array-API layer), which costs most of
+    a solve's start-up and none of which the search uses.  A SciPy whose
+    extension files live outside the package directories (an editable
+    install) falls back to the package import; ImportError when neither
+    finds it.
+    """
+    scipy = importlib.util.find_spec("scipy")  # locates, does not import
+    dirs = [os.path.join(d, "optimize", "_highspy")
+            for d in (scipy.submodule_search_locations or ())] if scipy else []
+    spec = importlib.machinery.PathFinder.find_spec(_HIGHS_MODULE, dirs)
+    if spec is None:
+        from scipy.optimize._highspy import _core
+        return _core
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 try:
     import numpy as _np
-    from scipy.optimize._highspy import _core as _highs
+    _highs = _load_highs()
     _HAVE_LP = True
 except ImportError:  # pragma: no cover - scipy is a soft dependency
     _HAVE_LP = False

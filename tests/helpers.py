@@ -2,13 +2,29 @@
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
+import raildesign
 from raildesign.model import (Arc, ConnectionRequirement, HeadwayTable,
                               Instance, Network, Node, RoutedStep, Scenario,
                               Solution, TrainRequest, validate_instance)
 from raildesign.verify import verify
+
+SRC = os.path.dirname(os.path.dirname(raildesign.__file__))
+
+
+def run_fresh(code):
+    """Standard output of ``code`` run in a new interpreter that imports
+    this ``raildesign``; the start-up tests need a clean ``sys.modules``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def mk_network(arc_specs, headways=None, extra_nodes=()):
@@ -38,6 +54,23 @@ def mk_train(tid, origin, dest, dep, arr, optional=False, penalty=None, via=()):
                         optional=optional,
                         penalty=Fraction(penalty) if penalty is not None else None,
                         via_nodes=tuple(via))
+
+
+def rich_instance():
+    """Every instance field set: a via node, an optional train with a
+    fractional penalty, a headway entry and default, a connection and two
+    scenarios."""
+    net = mk_network(
+        [("A", "B", 1, 1, 2, "7/2"), ("B", "C", 2, 0, 1, 3)],
+        headways=HeadwayTable(entries={("A", "B", "T1", "T2"): 2}, default=1))
+    trains = (mk_train("T1", "A", "C", 0, 4, via=["B"]),
+              mk_train("T2", "A", "B", 1, 3),
+              mk_train("T3", "A", "B", 0, 4, optional=True, penalty="5/3"))
+    return Instance(network=net, horizon=4, trains=trains,
+                    connections=(ConnectionRequirement("B", "T2", "T1"),),
+                    scenarios=(Scenario("S1", ("T1", "T2")),
+                               Scenario("S2", ("T1", "T3"))),
+                    capacity_window=2, allow_dwell=False)
 
 
 def line_instance(c, ce, k, n_trains, horizon=2, window=1, dwell=True,

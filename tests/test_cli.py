@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from helpers import line_instance
+from helpers import line_instance, run_fresh
 from raildesign import cli
 from raildesign.model import load_solution, save_instance
 
@@ -12,6 +12,13 @@ def write(tmp_path, inst, name="inst.json"):
     path = tmp_path / name
     save_instance(inst, path)
     return str(path)
+
+
+def test_only_solve_loads_numpy():
+    out = run_fresh("import sys\n"
+                    "import raildesign.cli\n"
+                    "print('numpy' in sys.modules, 'raildesign.solver_bb' in sys.modules)")
+    assert out.split() == ["False", "False"]
 
 
 def test_solve_feasible(tmp_path, capsys):

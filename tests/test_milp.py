@@ -145,6 +145,19 @@ def test_headway_entries_apply_to_their_arc_and_pair_only():
     assert hw == ["hw_B_C_all_T0_T1_1_2"]
 
 
+def test_vacuous_headway_pair_takes_no_name():
+    # A->S-1 and A->S.1 sanitise alike; on A->S-1 the gap 2 meets M = 2, so
+    # only A->S.1 (M = 3) has a row, and it keeps the unsuffixed name
+    net = mk_network([("A", "S-1", 1, 1, 0, 0), ("S-1", "D", 1, 1, 0, 0),
+                      ("A", "S.1", 1, 1, 0, 0), ("S.1", "D", 1, 1, 0, 0)],
+                     headways=HeadwayTable(entries={("A", "S-1", "T0", "T1"): 2,
+                                                    ("A", "S.1", "T0", "T1"): 3}))
+    inst = Instance(network=net, horizon=4, capacity_window=1, allow_dwell=False,
+                    trains=(mk_train("T0", "A", "D", 0, 2), mk_train("T1", "A", "D", 2, 4)))
+    hw = [r.name for r in milp.build(inst).rows if r.name.startswith("hw_")]
+    assert hw == ["hw_A_Sx1_all_T0_T1_0_2"]
+
+
 def test_headway_rows_never_mix_scenarios():
     inst = line_instance(c=5, ce=0, k=0, n_trains=4, horizon=3, window=1,
                          dwell=False, headway_default=3)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import line_instance, mk_network, mk_train
+from helpers import line_instance, mk_network, mk_train, rich_instance
 from raildesign.model import (Arc, ConnectionRequirement, HeadwayTable, Instance,
                               InstanceError, Network, Node, RoutedStep, Scenario,
                               Solution, TrainRequest, cost_to_json,
@@ -145,20 +145,6 @@ def test_effective_scenarios_many():
 
 
 # -- JSON I/O ----------------------------------------------------------------
-
-
-def rich_instance():
-    net = mk_network(
-        [("A", "B", 1, 1, 2, "7/2"), ("B", "C", 2, 0, 1, 3)],
-        headways=HeadwayTable(entries={("A", "B", "T1", "T2"): 2}, default=1))
-    trains = (mk_train("T1", "A", "C", 0, 4, via=["B"]),
-              mk_train("T2", "A", "B", 1, 3),
-              mk_train("T3", "A", "B", 0, 4, optional=True, penalty="5/3"))
-    return Instance(network=net, horizon=4, trains=trains,
-                    connections=(ConnectionRequirement("B", "T2", "T1"),),
-                    scenarios=(Scenario("S1", ("T1", "T2")),
-                               Scenario("S2", ("T1", "T3"))),
-                    capacity_window=2, allow_dwell=False)
 
 
 def test_instance_round_trip(tmp_path):

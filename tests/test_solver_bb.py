@@ -1,3 +1,4 @@
+import importlib.machinery
 import itertools
 import random
 from fractions import Fraction
@@ -6,8 +7,8 @@ from math import lcm
 import pytest
 
 from helpers import (corridor_instance, enumerate_system, line_instance,
-                     mk_network, mk_train, random_walk_instance, two_arc_line,
-                     walk_oracle)
+                     mk_network, mk_train, random_walk_instance, run_fresh,
+                     two_arc_line, walk_oracle)
 from raildesign import milp, reduction, solver_bb
 from raildesign.milp import ConstraintSystem, LinearRow, VarMeaning
 from raildesign.model import Instance, RoutedStep, Solution
@@ -246,6 +247,36 @@ def test_persistent_lp_matches_linprog(system):
     if system.rows:
         # warm starts right after an infeasible LP were exercised
         assert any(a == 2 and b == 0 for a, b in zip(statuses, statuses[1:]))
+
+
+def test_highs_loads_without_scipy_optimize():
+    out = run_fresh("import sys\n"
+                    "from raildesign import solver_bb\n"
+                    "print(solver_bb._HAVE_LP, 'scipy.optimize' in sys.modules,"
+                    " 'scipy.linalg' in sys.modules)")
+    assert out.split() == ["True", "False", "False"]
+
+
+def test_highs_solves_after_scipy_optimize_was_imported():
+    out = run_fresh("import scipy.optimize\n"
+                    "from raildesign import milp, reduction, solver_bb\n"
+                    "inst, _ = reduction.x3c_to_instance(reduction.gen_random_x3c(3, 8, 4))\n"
+                    "res = solver_bb.solve(milp.build(inst))\n"
+                    "print(res.status, res.objective, res.stats['lp_calls'] > 0)")
+    assert out.split() == ["optimal", "9", "True"]
+
+
+def test_highs_falls_back_to_the_package_import(monkeypatch):
+    core = pytest.importorskip("scipy.optimize._highspy._core")
+    calls = []
+
+    def no_file(name, path=None, target=None):
+        calls.append(name)
+        return None
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_file)
+    assert solver_bb._load_highs() is core and hasattr(core, "_Highs")
+    assert calls == [solver_bb._HIGHS_MODULE]
 
 
 def test_most_fractional_matches_loop():

@@ -86,13 +86,6 @@ class PropEngine:
             return False
         return self._drain(queue)
 
-    def first_free(self, start):
-        values = self.values
-        for v in range(start, self.nvars):
-            if values[v] == FREE:
-                return v
-        return -1
-
     # -- internals ----------------------------------------------------------
 
     def _fix(self, var, val, queue):

@@ -318,7 +318,7 @@ def build(instance) -> ConstraintSystem:
 
 
 # ---------------------------------------------------------------------------
-# LP text export and its round-trip parser (the parser is the test oracle).
+# LP text export.
 
 
 def _fmt_coeff(value) -> str:
@@ -361,136 +361,3 @@ def export_lp(system: ConstraintSystem) -> str:
         lines.append(f" {name}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-_TOKEN = re.compile(r"(<=|>=|=|[+\-:]|[A-Za-z_][A-Za-z0-9_]*|\d+/\d+|\d+)")
-
-
-class LpParseError(ValueError):
-    pass
-
-
-def _parse_terms(tokens):
-    """Token list -> (dict name -> Fraction, constant)."""
-    terms = {}
-    constant = Fraction(0)
-    sign = 1
-    pending_coeff = None
-    for tok in tokens:
-        if tok == "+":
-            if pending_coeff is not None:
-                constant += sign * pending_coeff
-                pending_coeff = None
-            sign = 1
-        elif tok == "-":
-            if pending_coeff is not None:
-                constant += sign * pending_coeff
-                pending_coeff = None
-            sign = -1
-        elif re.fullmatch(r"\d+(/\d+)?", tok):
-            if pending_coeff is not None:
-                constant += sign * pending_coeff
-            pending_coeff = Fraction(tok)
-        else:
-            coeff = Fraction(1) if pending_coeff is None else pending_coeff
-            terms[tok] = terms.get(tok, Fraction(0)) + sign * coeff
-            pending_coeff = None
-            sign = 1
-    if pending_coeff is not None:
-        constant += sign * pending_coeff
-    return terms, constant
-
-
-def parse_lp(text: str):
-    """Parse the exported format back into a comparable structure.
-
-    Returns (objective terms, objective constant, rows, binaries) where rows
-    is a list of (name, terms dict, sense, rhs).
-    """
-    section = None
-    objective_tokens = []
-    rows = []
-    binaries = []
-    current_row = None  # [name, tokens]
-
-    def flush_row():
-        nonlocal current_row
-        if current_row is None:
-            return
-        name, tokens = current_row
-        sense = None
-        for i, tok in enumerate(tokens):
-            if tok in ("<=", ">=", "="):
-                sense = tok
-                lhs, rhs_tokens = tokens[:i], tokens[i + 1:]
-                break
-        if sense is None:
-            raise LpParseError(f"row {name!r} has no relational operator")
-        terms, lhs_const = _parse_terms(lhs)
-        rhs_terms, rhs_const = _parse_terms(rhs_tokens)
-        if rhs_terms:
-            raise LpParseError(f"row {name!r} has variables on the right-hand side")
-        rows.append((name, terms, sense, rhs_const - lhs_const))
-        current_row = None
-
-    for raw in text.splitlines():
-        line = raw.split("\\")[0].strip()
-        if not line:
-            continue
-        lowered = line.lower()
-        if lowered in ("minimize", "subject to", "binary", "end"):
-            flush_row()
-            section = lowered
-            continue
-        tokens = _TOKEN.findall(line)
-        if section == "minimize":
-            objective_tokens.extend(tokens)
-        elif section == "subject to":
-            if ":" in tokens:
-                flush_row()
-                idx = tokens.index(":")
-                if idx != 1:
-                    raise LpParseError(f"bad row label in {line!r}")
-                current_row = [tokens[0], tokens[idx + 1:]]
-            elif current_row is not None:
-                current_row[1].extend(tokens)
-            else:
-                raise LpParseError(f"constraint line without a label: {line!r}")
-        elif section == "binary":
-            binaries.extend(tokens)
-        elif section == "end":
-            raise LpParseError(f"content after End: {line!r}")
-        else:
-            raise LpParseError(f"content before Minimize: {line!r}")
-    flush_row()
-
-    if objective_tokens and objective_tokens[:2] == ["obj", ":"]:
-        objective_tokens = objective_tokens[2:]
-    obj_terms, obj_const = _parse_terms(objective_tokens)
-    return obj_terms, obj_const, rows, binaries
-
-
-def system_signature(system: ConstraintSystem):
-    """Normal form used to assert LP round trips, insensitive to row order."""
-    names = system.var_names
-    obj = {}
-    for vid, coeff in system.objective:
-        obj[names[vid]] = obj.get(names[vid], Fraction(0)) + Fraction(coeff)
-    obj = {k: v for k, v in obj.items() if v != 0}
-    rows = {}
-    for row in system.rows:
-        terms = {}
-        for vid, coeff in row.terms:
-            if coeff != 0:
-                terms[names[vid]] = Fraction(coeff)
-        rows[row.name] = (terms, row.sense, Fraction(row.rhs))
-    return obj, Fraction(system.objective_constant), rows, sorted(names)
-
-
-def parsed_signature(parsed):
-    obj_terms, obj_const, rows, binaries = parsed
-    obj = {k: v for k, v in obj_terms.items() if v != 0}
-    row_map = {}
-    for name, terms, sense, rhs in rows:
-        row_map[name] = ({k: v for k, v in terms.items() if v != 0}, sense, rhs)
-    return obj, obj_const, row_map, sorted(binaries)

@@ -3,28 +3,25 @@
 Rows are normalized to integer coefficients and handed, in <= form, to the
 propagation engine in ``raildesign._core_py``.  Search is depth-first.
 
-With HiGHS available the linear relaxation is solved at every node.  HiGHS
-comes from SciPy's compiled ``optimize/_highspy/_core`` extension, loaded
-from its file without importing ``scipy.optimize``; without that file the
-package import is the fallback, and without either the search runs on
-propagation alone.  Each solve builds one HiGHS LP, once, from the
-normalized rows; a node only changes the column bounds to the engine's
-current fixings and re-runs, so dual simplex warm-starts from the previous
-node's basis.  The relaxation supplies the lower bound, the
-branching variable, and integral vertices as incumbent candidates.
-Branching is design first: the most fractional free expansion variable when
-any is fractional, otherwise the most fractional free variable of any kind.
-This is fixed-charge network design, so once the expansions are fixed only
-the feasibility of the routes is left to decide.  Without the relaxation the
-search takes the first free variable, and ``milp.build`` numbers the
-expansion variables first.
+The linear relaxation is solved at every node with HiGHS, which comes from
+SciPy's compiled ``optimize/_highspy/_core`` extension, loaded from its file
+without importing ``scipy.optimize``; without that file the package import
+is the fallback.  Each solve builds one HiGHS LP, once, from the normalized
+rows; a node only changes the column bounds to the engine's current fixings
+and re-runs, so dual simplex warm-starts from the previous node's basis.
+The relaxation supplies the lower bound, the branching variable, and
+integral vertices as incumbent candidates.  Branching is design first: the
+most fractional free expansion variable when any is fractional, otherwise
+the most fractional free variable of any kind.  This is fixed-charge
+network design, so once the expansions are fixed only the feasibility of
+the routes is left to decide.
 Candidates and bounds are always re-validated exactly -- the float LP only
 guides pruning, never certifies feasibility or the final objective.  Only
-an LP proven infeasible prunes; any other non-optimal status falls back to
-the weak bound and drops the basis.  Without HiGHS the bound is the exact
-rational sum of fixed costs plus all still-collectable negative objective
-coefficients; weak but admissible, with pruning power coming from
-propagation alone.
+an LP proven infeasible prunes.  When HiGHS returns no optimum (a time-out
+or numeric trouble), the node drops the basis, takes the trivial bound --
+the exact rational sum of fixed costs plus all still-collectable negative
+objective coefficients, weak but admissible -- and branches on its first
+free variable.
 
 A node is pruned only when its bound reaches the incumbent, so ``optimal``
 reports a bound equal to the objective.  The model lets each train depart
@@ -44,6 +41,8 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+
+import numpy as _np
 
 from ._core_py import FREE, PropEngine
 from .model import RoutedStep, Solution
@@ -73,12 +72,7 @@ def _load_highs():
     return module
 
 
-try:
-    import numpy as _np
-    _highs = _load_highs()
-    _HAVE_LP = True
-except ImportError:  # pragma: no cover - scipy is a soft dependency
-    _HAVE_LP = False
+_highs = _load_highs()
 
 
 @dataclass(frozen=True)
@@ -124,11 +118,6 @@ def _le_rows(irows):
     return [(cols, [m * c for c in coefs], m * rhs)
             for cols, coefs, sense, rhs in irows
             for m in _SIGNS[sense]]
-
-
-def _normalized_rows(system):
-    """All rows as (cols, int coefs, int rhs) in <= sense."""
-    return _le_rows(_integer_rows(system))
 
 
 def _lp_model(irows, nvars, cost):
@@ -237,7 +226,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     for vid, coeff in system.objective:
         obj[vid] = obj.get(vid, Fraction(0)) + Fraction(coeff)
     obj_vars = sorted(obj)
-    obj_const = Fraction(getattr(system, "objective_constant", 0))
+    obj_const = Fraction(system.objective_constant)
     obj_den = lcm(1, *(c.denominator for c in obj.values())) if obj else 1
 
     def trivial_bound():
@@ -273,11 +262,15 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         """Returns (feasible, exact lower bound or None, relaxation point or None)."""
         nonlocal lp_calls
         lp_calls += 1
+        if limits.time_limit is not None:
+            # HiGHS checks its limit against the model's total run time
+            left = limits.time_limit - (time.monotonic() - t_start)
+            lp.setOptionValue("time_limit", lp.getRunTime() + max(left, 0.0))
         res = _linprog(lp, (state == 1).astype(float), (state != 0).astype(float))
         if res.status == 2:
             return False, None, None
         if res.status != 0:
-            return True, None, None  # numeric trouble: fall back to the weak bound
+            return True, None, None  # time-out or numeric trouble: the weak bound
         # conservative floor: attainable objectives are multiples of 1/obj_den
         scaled = res.fun * obj_den
         eps = 1e-6 * (1.0 + abs(scaled))
@@ -299,12 +292,11 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                                    {"nodes": 1, "wall_time": time.monotonic() - t_start},
                                    system)
 
-    if _HAVE_LP:
-        c_vec = _np.zeros(nvars)
-        for v, cf in obj.items():
-            c_vec[v] = float(cf)
-        lp = _lp_model(irows, nvars, c_vec)
-        design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
+    c_vec = _np.zeros(nvars)
+    for v, cf in obj.items():
+        c_vec[v] = float(cf)
+    lp = _lp_model(irows, nvars, c_vec)
+    design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
 
     def consider(assignment):
         """Record a feasible assignment if it improves the incumbent."""
@@ -319,52 +311,40 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         consider({v: completion_value(v) if val == FREE else val
                   for v, val in enumerate(values)})
 
-    def node_done():
-        """Leaf test at the current engine state."""
-        if engine.all_settled():
-            return True
-        return engine.first_free(0) == -1
-
     def prune_check(b):
         return incumbent is not None and b is not None and b >= incumbent_obj
 
     # Depth-first search, iterative to dodge recursion limits.
     def search():
-        frame_stack = []  # [branch var, values left to try, trail mark, scan hint, node bound]
+        frame_stack = []  # [branch var, values left to try, trail mark, node bound]
 
-        def enter(hint):
+        def enter():
             """Process a node; push a frame or record a leaf. Returns False to backtrack."""
             nonlocal nodes, hit_limit
-            # a node counts once it is processed; the clock is read every
-            # 16th node
+            # a node counts once it is processed
             if (limits.node_limit is not None and nodes >= limits.node_limit) or (
-                    limits.time_limit is not None and (nodes + 1) % 16 == 0
+                    limits.time_limit is not None
                     and time.monotonic() - t_start > limits.time_limit):
                 hit_limit = True
                 return False
             nodes += 1
-            relax = b = None
-            if _HAVE_LP:
-                state = _np.array(values)
-                feasible, b, relax = lp_probe(state)
-                if not feasible:
-                    return False
-                if prune_check(b):
-                    return False
+            state = _np.array(values)
+            feasible, b, relax = lp_probe(state)
+            if not feasible or prune_check(b):
+                return False
             node_bound = trivial_bound()
             if prune_check(node_bound):
                 return False
             if b is not None:
                 node_bound = max(node_bound, b)
-            if node_done():
+            free = _np.flatnonzero(state == FREE)
+            if engine.all_settled() or not free.size:
                 record_leaf()
                 return False
-            vals = [0, 1]
+            v, vals = int(free[0]), [0, 1]
             if relax is not None:
-                free = _np.flatnonzero(state == FREE)
                 x = relax[free]
                 i, integral = _branch_position(x, design[free])
-                v = int(free[i])
                 if integral:
                     # the relaxation vertex is 0-1: validate it exactly
                     assignment = dict(enumerate(values))
@@ -373,17 +353,16 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                         consider(assignment)
                         if prune_check(b):
                             return False
-                    v = int(free[0])
+                else:
+                    v = int(free[i])
                 first = int(round(relax[v]))
                 vals = [first, 1 - first]
-            else:
-                v = engine.first_free(hint)
-            frame_stack.append([v, vals, engine.mark(), v, node_bound])
+            frame_stack.append([v, vals, engine.mark(), node_bound])
             return True
 
-        enter(0)
+        enter()
         while frame_stack and not hit_limit:
-            var, vals, mark, hint, _ = frame_stack[-1]
+            var, vals, mark, _ = frame_stack[-1]
             if not vals:
                 engine.backtrack(mark)
                 frame_stack.pop()
@@ -391,13 +370,13 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             val = vals.pop(0)
             engine.backtrack(mark)
             if engine.assign(var, val):
-                enter(hint)
+                enter()
             # on conflict just try the next value / unwind
         # After a hit limit, every unexplored node lies below a frame with
         # values left to try, or is the top frame's child the limit cut off.
         if not frame_stack:
             return None
-        return min([f[4] for f in frame_stack if f[1]] + [frame_stack[-1][4]])
+        return min([f[3] for f in frame_stack if f[1]] + [frame_stack[-1][3]])
 
     open_bound = search()
     wall = time.monotonic() - t_start

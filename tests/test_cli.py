@@ -21,6 +21,32 @@ def test_only_solve_loads_numpy():
     assert out.split() == ["False", "False"]
 
 
+def test_without_numpy_and_scipy_only_the_solver_fails(tmp_path):
+    # the file commands still work; the solver refuses to load rather than
+    # falling back to some slower search
+    inst = write(tmp_path, line_instance(c=1, ce=0, k=0, n_trains=1))
+    sol = str(tmp_path / "sol.json")
+    assert cli.main(["solve", inst, "-o", sol]) == 0
+    x3c, lp = str(tmp_path / "x3c.json"), str(tmp_path / "m.lp")
+    out = run_fresh(
+        "import sys\n"
+        "class Block:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.partition('.')[0] in ('numpy', 'scipy'):\n"
+        "            raise ImportError(f'blocked: {name}')\n"
+        "sys.meta_path.insert(0, Block())\n"
+        "from raildesign import cli\n"
+        f"codes = [cli.main(['gen-x3c', '--q', '2', '--subsets', '5', '--seed', '1',"
+        f" '-o', {x3c!r}]), cli.main(['export-lp', {inst!r}, '-o', {lp!r}]),"
+        f" cli.main(['verify', {inst!r}, {sol!r}])]\n"
+        "try:\n"
+        "    import raildesign.solver_bb\n"
+        "except ImportError as exc:\n"
+        "    codes.append(exc)\n"
+        "print(*codes, sep='\\n')")
+    assert out.splitlines()[-4:] == ["0", "0", "0", "blocked: numpy"]
+
+
 def test_solve_feasible(tmp_path, capsys):
     path = write(tmp_path, line_instance(c=1, ce=0, k=0, n_trains=1))
     out = str(tmp_path / "sol.json")

@@ -21,9 +21,7 @@ def random_rows(rng, nvars):
 
 
 def snapshot(engine, nvars):
-    return ([engine.values[v] for v in range(nvars)],
-            engine.all_settled(),
-            engine.first_free(0))
+    return [engine.values[v] for v in range(nvars)], engine.all_settled()
 
 
 def completions(rows, nvars, decisions):
@@ -74,17 +72,12 @@ def test_engine_is_sound_on_random_scripts():
                 else:
                     engine.backtrack(mark)
                     assert snapshot(engine, nvars) == before
-            elif op < 0.8 and stack:
+            elif stack:
                 i = rng.randrange(len(stack))
                 mark, before = stack[i][:2]
                 del stack[i:]
                 engine.backtrack(mark)
                 assert snapshot(engine, nvars) == before
-            else:
-                start = rng.randrange(nvars)
-                want = next((u for u in range(start, nvars)
-                             if engine.values[u] == FREE), -1)
-                assert engine.first_free(start) == want
 
 
 def test_backend_reports_itself():

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (line_instance, mk_network, mk_train, random_walk_instance,
-                     train_walks)
+from helpers import (LpParseError, line_instance, mk_network, mk_train,
+                     parse_lp, parsed_signature, random_walk_instance,
+                     system_signature, train_walks)
 from raildesign import milp, reduction
 from raildesign.model import (ConnectionRequirement, HeadwayTable, Instance,
                               Scenario, Solution)
@@ -309,13 +310,13 @@ def test_export_golden(inst, golden):
 
 def test_export_empty_system():
     text = milp.export_lp(milp.ConstraintSystem())
-    obj, const, rows, binaries = milp.parse_lp(text)
+    obj, const, rows, binaries = parse_lp(text)
     assert obj == {} and const == 0 and rows == [] and binaries == []
 
 
 def round_trip(system):
-    parsed = milp.parse_lp(milp.export_lp(system))
-    assert milp.parsed_signature(parsed) == milp.system_signature(system)
+    parsed = parse_lp(milp.export_lp(system))
+    assert parsed_signature(parsed) == system_signature(system)
 
 
 def test_round_trip_various_systems():
@@ -337,12 +338,12 @@ def test_round_trip_various_systems():
 
 
 def test_parse_lp_errors():
-    with pytest.raises(milp.LpParseError):
-        milp.parse_lp("Minimize\n obj: x\nSubject To\n r1: 1 x 2\nEnd\n")
-    with pytest.raises(milp.LpParseError):
-        milp.parse_lp("Minimize\nSubject To\n 1 x <= 2\nEnd\n")
-    with pytest.raises(milp.LpParseError):
-        milp.parse_lp("bogus preamble\nMinimize\nEnd\n")
+    with pytest.raises(LpParseError):
+        parse_lp("Minimize\n obj: x\nSubject To\n r1: 1 x 2\nEnd\n")
+    with pytest.raises(LpParseError):
+        parse_lp("Minimize\nSubject To\n 1 x <= 2\nEnd\n")
+    with pytest.raises(LpParseError):
+        parse_lp("bogus preamble\nMinimize\nEnd\n")
 
 
 def test_row_name_grammar():

@@ -1,14 +1,17 @@
 import importlib.machinery
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
+from scipy import optimize
 
-from helpers import (corridor_instance, enumerate_system, line_instance,
-                     mk_network, mk_train, random_walk_instance, run_fresh,
-                     two_arc_line, walk_oracle)
+from helpers import (corridor_instance, enumerate_system, float_mip_objective,
+                     line_instance, mk_network, mk_train, random_walk_instance,
+                     run_fresh, two_arc_line, walk_oracle)
 from raildesign import milp, reduction, solver_bb
 from raildesign.milp import ConstraintSystem, LinearRow, VarMeaning
 from raildesign.model import Instance, RoutedStep, Solution
@@ -17,11 +20,18 @@ from raildesign.solver_bb import (DecodeError, SolveLimits, extract_solution,
 from raildesign.verify import verify
 
 
+def no_lp_answer(monkeypatch):
+    """Make every LP end without an optimum, as on a HiGHS time-out."""
+    monkeypatch.setattr(solver_bb, "_linprog",
+                        lambda model, lb, ub: solver_bb._LPResult(4, None, None))
+
+
 @pytest.fixture(params=["lp", "fallback"])
 def bound_mode(request, monkeypatch):
-    """Exercise both the relaxation bound and the trivial-bound fallback."""
+    """Exercise both the relaxation bound and the fallback taken when HiGHS
+    gives no optimum: the trivial bound and first-free branching."""
     if request.param == "fallback":
-        monkeypatch.setattr(solver_bb, "_HAVE_LP", False)
+        no_lp_answer(monkeypatch)
     return request.param
 
 
@@ -37,7 +47,7 @@ def test_expansion_needed(bound_mode):
     res = solve(milp.build(inst))
     assert res.status == "optimal" and res.objective == 7
     assert res.bound == 7
-    assert (res.stats["lp_calls"] > 0) == (bound_mode == "lp")
+    assert res.stats["lp_calls"] > 0
     sol = extract_solution(inst, res)
     assert sol.expanded_arcs == (("A", "B"),)
 
@@ -118,6 +128,35 @@ def test_limit_bound_counts_open_subtrees():
     assert res.bound is not None and res.bound <= 9
 
 
+def test_time_limit_overruns_by_at_most_one_lp(monkeypatch):
+    # each LP takes 0.05 s; the clock is read before every node and HiGHS
+    # gets the time left, so the solve stops within one LP of the limit
+    linprog = solver_bb._linprog
+
+    def slow(model, lb, ub):
+        time.sleep(0.05)
+        return linprog(model, lb, ub)
+
+    monkeypatch.setattr(solver_bb, "_linprog", slow)
+    start = time.monotonic()
+    res = solve(x3c_system(3, 8, 4), SolveLimits(time_limit=0.1))
+    elapsed = time.monotonic() - start
+    assert res.status == "limit_reached"
+    assert elapsed <= 0.1 + 0.05 + 0.1
+    assert res.bound is not None and res.bound <= 9  # the unlimited optimum
+
+
+@pytest.mark.parametrize("q, subsets, seed", [(3, 8, 4), (2, 6, 1), (3, 7, 2), (4, 9, 5)])
+def test_float_mip_agrees_on_x3c(q, subsets, seed):
+    system = x3c_system(q, subsets, seed)
+    res = solve(system)
+    want = float_mip_objective(system)
+    if res.status == "infeasible":
+        assert want is None
+    else:
+        assert res.status == "optimal" and abs(want - res.objective) <= 1e-6
+
+
 @pytest.mark.parametrize("q, subsets, seed", [(2, 6, 1), (2, 5, 3), (3, 7, 2)])
 def test_limit_bound_never_exceeds_optimum(q, subsets, seed):
     system = x3c_system(q, subsets, seed)
@@ -156,13 +195,13 @@ def test_normalized_rows():
     sys.rows.append(LinearRow([(0, Fraction(1, 2)), (1, Fraction(1, 3))],
                               "<=", Fraction(5, 6), "r1"))
     sys.rows.append(LinearRow([(0, 1)], "=", 1, "r2"))
-    rows = solver_bb._normalized_rows(sys)
+    rows = solver_bb._le_rows(solver_bb._integer_rows(sys))
     assert ([0, 1], [3, 2], 5) == tuple(rows[0])
     assert ([0], [1], 1) == tuple(rows[1])  # = splits into <= and >=
     assert ([0], [-1], -1) == tuple(rows[2])
     sys.rows.append(LinearRow([(0, 1), (0, 1)], "<=", 1, "dup"))
     with pytest.raises(ValueError, match="duplicate"):
-        solver_bb._normalized_rows(sys)
+        solver_bb._integer_rows(sys)
 
 
 def test_integer_fast_path_matches_fractions():
@@ -176,7 +215,7 @@ def test_integer_fast_path_matches_fractions():
         for m in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[row.sense]:
             want.append(([v for v, _ in row.terms],
                          [m * int(c * denom) for c in coefs], m * int(rhs * denom)))
-    assert solver_bb._normalized_rows(system) == want
+    assert solver_bb._le_rows(solver_bb._integer_rows(system)) == want
 
 
 def no_row_system():
@@ -190,7 +229,7 @@ def no_row_system():
 def test_no_rows(bound_mode):
     res = solve(no_row_system())
     assert res.status == "optimal" and res.objective == Fraction(-5, 2)
-    assert (res.stats["lp_calls"] > 0) == (bound_mode == "lp")
+    assert res.stats["lp_calls"] > 0
 
 
 @pytest.mark.parametrize("system", [
@@ -199,8 +238,6 @@ def test_no_rows(bound_mode):
     no_row_system(),
 ], ids=["x3c", "line", "no-rows"])
 def test_persistent_lp_matches_linprog(system):
-    np = pytest.importorskip("numpy")
-    optimize = pytest.importorskip("scipy.optimize")
     n = len(system.variables)
     cost = np.zeros(n)
     for v, c in system.objective:
@@ -252,7 +289,8 @@ def test_persistent_lp_matches_linprog(system):
 def test_highs_loads_without_scipy_optimize():
     out = run_fresh("import sys\n"
                     "from raildesign import solver_bb\n"
-                    "print(solver_bb._HAVE_LP, 'scipy.optimize' in sys.modules,"
+                    "print(hasattr(solver_bb._highs, '_Highs'),"
+                    " 'scipy.optimize' in sys.modules,"
                     " 'scipy.linalg' in sys.modules)")
     assert out.split() == ["True", "False", "False"]
 
@@ -267,7 +305,7 @@ def test_highs_solves_after_scipy_optimize_was_imported():
 
 
 def test_highs_falls_back_to_the_package_import(monkeypatch):
-    core = pytest.importorskip("scipy.optimize._highspy._core")
+    from scipy.optimize._highspy import _core as core
     calls = []
 
     def no_file(name, path=None, target=None):
@@ -280,7 +318,6 @@ def test_highs_falls_back_to_the_package_import(monkeypatch):
 
 
 def test_most_fractional_matches_loop():
-    np = pytest.importorskip("numpy")
     rng = random.Random(3)
     pool = (0.0, 1.0, 0.5, 0.25, 0.75, 1e-7, 1 - 1e-7, 2e-6)
     for _ in range(500):
@@ -315,7 +352,8 @@ def test_design_first_branching_on_corridors(monkeypatch, seed):
     res = solve(system)
     assert res.status == "optimal" and res.stats["lp_calls"] > 0
     assert res.stats["nodes"] <= 7
-    monkeypatch.setattr(solver_bb, "_HAVE_LP", False)
+    assert abs(float_mip_objective(system) - res.objective) <= 1e-6
+    no_lp_answer(monkeypatch)
     assert solve(system).objective == res.objective
 
 

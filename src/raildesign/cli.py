@@ -59,7 +59,8 @@ def _solve_with_mode(inst, mode, limits):
 def cmd_solve(args):
     from . import solver_bb  # NumPy and HiGHS load only for a solve
 
-    inst = _load_validated(args.instance)
+    # only the series-parallel solver takes multi-arcs
+    inst = _load_validated(args.instance, allow_multi_arcs=args.mode == "sp")
     if inst is None:
         return EXIT_INPUT
     limits = solver_bb.SolveLimits(time_limit=args.time_limit,

@@ -53,7 +53,6 @@ class ConstraintSystem:
     rows: list = field(default_factory=list)
     objective: list = field(default_factory=list)  # of (var id, Fraction)
     objective_constant: Fraction = Fraction(0)
-    instance: object = None  # source instance, kept for solution decoding
 
     def add_var(self, meaning: VarMeaning, name: str) -> int:
         self.variables.append(meaning)
@@ -158,7 +157,7 @@ def build(instance) -> ConstraintSystem:
 
     scenarios = effective_scenarios(instance)
 
-    sys = ConstraintSystem(instance=instance)
+    sys = ConstraintSystem()
     name = _mk_namer()
     tag = {x: _SANITIZE.sub("x", str(x))
            for x in [n.id for n in net.nodes] + list(trains) + [sc.id for sc in scenarios]}

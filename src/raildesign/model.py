@@ -171,10 +171,13 @@ def validate_instance(inst: Instance, allow_multi_arcs: bool = False) -> Validat
         elif a.multiplicity > 1 and not allow_multi_arcs:
             err("ARC_MULTIPLICITY", "multiplicity > 1 only supported by the SP solver", loc)
 
+    by_id = {t.id: t for t in inst.trains}
     for (frm, to, v1, v2), m in net.headways.entries.items():
         loc = f"headway {frm}->{to} {v1}/{v2}"
         if (frm, to) not in seen_arcs:
             err("HEADWAY_REF", "headway names an undeclared arc", loc)
+        if v1 not in by_id or v2 not in by_id:
+            err("HEADWAY_REF", "headway names an undeclared train", loc)
         if m < 0:
             err("HEADWAY_NEGATIVE", "headway must be non-negative", loc)
     if net.headways.default < 0:
@@ -199,6 +202,8 @@ def validate_instance(inst: Instance, allow_multi_arcs: bool = False) -> Validat
             err("TRAIN_SAME_ENDPOINTS", "origin equals destination", loc)
         if t.earliest_departure > t.latest_arrival:
             err("TRAIN_WINDOW", "earliest_departure exceeds latest_arrival", loc)
+        if t.earliest_departure < 0:
+            err("TRAIN_WINDOW", "earliest_departure must be >= 0", loc)
         for v in t.via_nodes:
             if v not in node_ids:
                 err("VIA_UNKNOWN", f"via node {v!r} is not declared", loc)
@@ -211,7 +216,6 @@ def validate_instance(inst: Instance, allow_multi_arcs: bool = False) -> Validat
         if t.penalty is not None and t.penalty < 0:
             err("PENALTY_FLAG", "penalty must be non-negative", loc)
 
-    by_id = {t.id: t for t in inst.trains}
     for c in inst.connections:
         loc = f"connection {c.station} {c.feeder}->{c.connecting}"
         if c.feeder == c.connecting:

@@ -1,14 +1,19 @@
 """Exact branch-and-bound over the 0-1 constraint system.
 
-Rows are normalized to integer coefficients and handed, in <= form, to the
-propagation engine in ``raildesign._core_py``.  Search is depth-first.
+Rows keep their coefficients as built, int or Fraction, and reach the
+propagation engine in ``raildesign._core_py`` in <= form (an equality as
+two rows) and HiGHS as they are.  Search is depth-first over a stack of
+open children: each is the parent's trail mark, a variable, a value and
+the parent's bound, and the preferred value is pushed last so it is tried
+first.  A node is a leaf once no variable is free; propagation has then
+checked every row, so its values are an incumbent candidate.
 
 The linear relaxation is solved at every node with HiGHS, which comes from
 SciPy's compiled ``optimize/_highspy/_core`` extension, loaded from its file
 without importing ``scipy.optimize``; without that file the package import
-is the fallback.  Each solve builds one HiGHS LP, once, from the normalized
-rows; a node only changes the column bounds to the engine's current fixings
-and re-runs, so dual simplex warm-starts from the previous node's basis.
+is the fallback.  Each solve builds one HiGHS LP, once, from the rows; a
+node only changes the column bounds to the engine's current fixings and
+re-runs, so dual simplex warm-starts from the previous node's basis.
 The relaxation supplies the lower bound, the branching variable, and
 integral vertices as incumbent candidates.  Branching is design first: the
 most fractional free expansion variable when any is fractional, otherwise
@@ -91,52 +96,39 @@ class SolveResult:
     system: object = None
 
 
-def _integer_rows(system):
-    """Each row as (cols, int coefs, sense, int rhs), scaled to clear fractions."""
+def _le_rows(system):
+    """The rows as (cols, coefs, rhs) in <= sense, coefficients as built; an
+    equality row gives its <= row and then its negated >= row."""
     out = []
     for row in system.rows:
         cols = [v for v, _ in row.terms]
         if len(set(cols)) != len(cols):
             raise ValueError(f"duplicate variable in row {row.name}")
         coefs = [c for _, c in row.terms]
-        rhs = row.rhs
-        if type(rhs) is not int or any(type(c) is not int for c in coefs):
-            fcoefs = [Fraction(c) for c in coefs]
-            frhs = Fraction(rhs)
-            denom = lcm(frhs.denominator, *(c.denominator for c in fcoefs))
-            coefs = [int(c * denom) for c in fcoefs]
-            rhs = int(frhs * denom)
-        out.append((cols, coefs, row.sense, rhs))
+        if row.sense != ">=":
+            out.append((cols, coefs, row.rhs))
+        if row.sense != "<=":
+            out.append((cols, [-c for c in coefs], -row.rhs))
     return out
 
 
-_SIGNS = {"<=": (1,), ">=": (-1,), "=": (1, -1)}
+def _lp_model(rows, nvars, cost):
+    """One HiGHS LP over the ``LinearRow``s with 0-1 column bounds, built once
+    per solve.
 
-
-def _le_rows(irows):
-    """``_integer_rows`` as (cols, int coefs, int rhs) in <= sense."""
-    return [(cols, [m * c for c in coefs], m * rhs)
-            for cols, coefs, sense, rhs in irows
-            for m in _SIGNS[sense]]
-
-
-def _lp_model(irows, nvars, cost):
-    """One HiGHS LP over the rows with 0-1 column bounds, built once per solve.
-
-    ``irows`` are ``_integer_rows``; an equality row is one row with equal
-    lower and upper bounds.  Nodes change only the column bounds, so each
-    run warm-starts from the basis of the one before.
+    An equality row is one row with equal lower and upper bounds.  Nodes
+    change only the column bounds, so each run warm-starts from the basis of
+    the one before.
     """
     row_of, col_of, val_of, row_lo, row_up = [], [], [], [], []
-    for cols, coefs, sense, rhs in irows:
-        if not cols:
+    for row in rows:
+        if not row.terms:
             continue
-        r = len(row_lo)
-        row_of.extend([r] * len(cols))
-        col_of.extend(cols)
-        val_of.extend(coefs)
-        row_lo.append(-_highs.kHighsInf if sense == "<=" else rhs)
-        row_up.append(_highs.kHighsInf if sense == ">=" else rhs)
+        row_of.extend([len(row_lo)] * len(row.terms))
+        col_of.extend(v for v, _ in row.terms)
+        val_of.extend(c for _, c in row.terms)
+        row_lo.append(-_highs.kHighsInf if row.sense == "<=" else row.rhs)
+        row_up.append(_highs.kHighsInf if row.sense == ">=" else row.rhs)
     col_of = _np.array(col_of, dtype=_np.int64)
     order = _np.argsort(col_of, kind="stable")
     lp = _highs.HighsLp()
@@ -203,23 +195,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     limits = limits or SolveLimits()
     t_start = time.monotonic()
     nvars = len(system.variables)
-    irows = _integer_rows(system)
-    rows = _le_rows(irows)
-
-    # Rows without variables are constant truths or contradictions.
-    var_rows = []
-    for cols, coefs, rhs in rows:
-        if not cols:
-            if 0 > rhs:
-                return SolveResult("infeasible", None, None, None,
-                                   {"nodes": 0, "wall_time": 0.0}, system)
-        else:
-            var_rows.append((cols, coefs, rhs))
-
-    engine = PropEngine(nvars,
-                        [r[0] for r in var_rows],
-                        [r[1] for r in var_rows],
-                        [r[2] for r in var_rows])
+    engine = PropEngine(nvars, _le_rows(system))
     values = engine.values  # updated in place by assign and backtrack
 
     obj = {}
@@ -241,151 +217,105 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                 b += c
         return b
 
-    def completion_value(v):
-        return 1 if obj.get(v, Fraction(0)) < 0 else 0
-
-    def assignment_objective(assignment):
-        return obj_const + sum((obj[v] for v in obj_vars if assignment[v] == 1),
-                               Fraction(0))
-
-    def assignment_feasible(assignment):
-        return all(sum(c * assignment[v] for v, c in zip(cols, coefs)) <= rhs
-                   for cols, coefs, rhs in var_rows)
-
     incumbent = None
     incumbent_obj = None
-    nodes = 0
-    lp_calls = 0
-    hit_limit = False
 
-    def lp_probe(state):
-        """Returns (feasible, exact lower bound or None, relaxation point or None)."""
-        nonlocal lp_calls
-        lp_calls += 1
-        if limits.time_limit is not None:
-            # HiGHS checks its limit against the model's total run time
-            left = limits.time_limit - (time.monotonic() - t_start)
-            lp.setOptionValue("time_limit", lp.getRunTime() + max(left, 0.0))
-        res = _linprog(lp, (state == 1).astype(float), (state != 0).astype(float))
-        if res.status == 2:
-            return False, None, None
-        if res.status != 0:
-            return True, None, None  # time-out or numeric trouble: the weak bound
-        # conservative floor: attainable objectives are multiples of 1/obj_den
-        scaled = res.fun * obj_den
-        eps = 1e-6 * (1.0 + abs(scaled))
-        bnd = obj_const + Fraction(math.ceil(scaled - eps), obj_den)
-        return True, bnd, res.x
-
-    if not engine.propagate_root():
-        return SolveResult("infeasible", None, None, None,
-                           {"nodes": 1, "wall_time": time.monotonic() - t_start}, system)
+    def consider(assignment):
+        """Record a feasible assignment if it improves the incumbent."""
+        nonlocal incumbent, incumbent_obj
+        value = obj_const + sum((obj[v] for v in obj_vars if assignment[v] == 1),
+                                Fraction(0))
+        if incumbent is None or value < incumbent_obj:
+            incumbent = assignment
+            incumbent_obj = value
 
     # Dominance presolve: a variable that never tightens a row (all
     # coefficients non-positive in <= form) and never worsens the objective
     # can be fixed to 1 up front.  This covers zero-cost expansion
     # variables, which would otherwise bloat the search tree.
+    feasible = engine.propagate_root()
     for v, occurrences in enumerate(engine.watch):
-        if all(c <= 0 for _r, c in occurrences) and obj.get(v, Fraction(0)) <= 0:
-            if values[v] == FREE and not engine.assign(v, 1):
-                return SolveResult("infeasible", None, None, None,
-                                   {"nodes": 1, "wall_time": time.monotonic() - t_start},
-                                   system)
+        if feasible and values[v] == FREE and obj.get(v, Fraction(0)) <= 0 \
+                and all(c <= 0 for _r, c in occurrences):
+            feasible = engine.assign(v, 1)
+    if not feasible:
+        return SolveResult("infeasible", None, None, None,
+                           {"nodes": 0, "wall_time": time.monotonic() - t_start,
+                            "lp_calls": 0}, system)
 
     c_vec = _np.zeros(nvars)
     for v, cf in obj.items():
         c_vec[v] = float(cf)
-    lp = _lp_model(irows, nvars, c_vec)
+    lp = _lp_model(system.rows, nvars, c_vec)
     design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
 
-    def consider(assignment):
-        """Record a feasible assignment if it improves the incumbent."""
-        nonlocal incumbent, incumbent_obj
-        value = assignment_objective(assignment)
-        if incumbent is None or value < incumbent_obj:
-            incumbent = assignment
-            incumbent_obj = value
+    # Open children as (parent's trail mark, variable, value, parent's
+    # bound); the root fixes nothing.  Every processed node runs one LP.
+    nodes = 0
+    stack = [(engine.mark(), None, None, None)]
+    while stack:
+        mark, var, val, parent_bound = stack.pop()
+        engine.backtrack(mark)
+        if var is not None and not engine.assign(var, val):
+            continue
+        if (limits.node_limit is not None and nodes >= limits.node_limit) or (
+                limits.time_limit is not None
+                and time.monotonic() - t_start > limits.time_limit):
+            stack.append((mark, var, val, parent_bound))  # still open
+            break
+        nodes += 1
+        if limits.time_limit is not None:
+            # HiGHS checks its limit against the model's total run time
+            left = limits.time_limit - (time.monotonic() - t_start)
+            lp.setOptionValue("time_limit", lp.getRunTime() + max(left, 0.0))
+        state = _np.array(values)
+        res = _linprog(lp, (state == 1).astype(float), (state != 0).astype(float))
+        if res.status == 2:
+            continue
+        # Without an LP optimum (a time-out or numeric trouble) the trivial
+        # bound stands alone.  The LP's is floored conservatively, as
+        # attainable objectives are multiples of 1/obj_den.
+        node_bound = trivial_bound()
+        if res.status == 0:
+            scaled = res.fun * obj_den
+            eps = 1e-6 * (1.0 + abs(scaled))
+            node_bound = max(node_bound,
+                             obj_const + Fraction(math.ceil(scaled - eps), obj_den))
+        if incumbent is not None and node_bound >= incumbent_obj:
+            continue
+        free = _np.flatnonzero(state == FREE)
+        if not free.size:
+            consider(dict(enumerate(values)))  # propagation checked every row
+            continue
+        v, first = int(free[0]), 0
+        if res.status == 0:
+            x = res.x[free]
+            i, integral = _branch_position(x, design[free])
+            if integral:
+                # the relaxation vertex is 0-1: validate it exactly
+                assignment = dict(enumerate(values))
+                assignment.update(zip(free.tolist(), _np.round(x).astype(int).tolist()))
+                if all(sum(c * assignment[u] for u, c in zip(cols, coefs)) <= rhs
+                       for cols, coefs, rhs in engine.rows):
+                    consider(assignment)
+                    if node_bound >= incumbent_obj:
+                        continue
+            else:
+                v = int(free[i])
+            first = int(round(res.x[v]))
+        mark = engine.mark()
+        stack.append((mark, v, 1 - first, node_bound))
+        stack.append((mark, v, first, node_bound))
 
-    def record_leaf():
-        # free vars finish at their cheapest value (1 for negative coefs)
-        consider({v: completion_value(v) if val == FREE else val
-                  for v, val in enumerate(values)})
-
-    def prune_check(b):
-        return incumbent is not None and b is not None and b >= incumbent_obj
-
-    # Depth-first search, iterative to dodge recursion limits.
-    def search():
-        frame_stack = []  # [branch var, values left to try, trail mark, node bound]
-
-        def enter():
-            """Process a node; push a frame or record a leaf. Returns False to backtrack."""
-            nonlocal nodes, hit_limit
-            # a node counts once it is processed
-            if (limits.node_limit is not None and nodes >= limits.node_limit) or (
-                    limits.time_limit is not None
-                    and time.monotonic() - t_start > limits.time_limit):
-                hit_limit = True
-                return False
-            nodes += 1
-            state = _np.array(values)
-            feasible, b, relax = lp_probe(state)
-            if not feasible or prune_check(b):
-                return False
-            node_bound = trivial_bound()
-            if prune_check(node_bound):
-                return False
-            if b is not None:
-                node_bound = max(node_bound, b)
-            free = _np.flatnonzero(state == FREE)
-            if engine.all_settled() or not free.size:
-                record_leaf()
-                return False
-            v, vals = int(free[0]), [0, 1]
-            if relax is not None:
-                x = relax[free]
-                i, integral = _branch_position(x, design[free])
-                if integral:
-                    # the relaxation vertex is 0-1: validate it exactly
-                    assignment = dict(enumerate(values))
-                    assignment.update(zip(free.tolist(), _np.round(x).astype(int).tolist()))
-                    if assignment_feasible(assignment):
-                        consider(assignment)
-                        if prune_check(b):
-                            return False
-                else:
-                    v = int(free[i])
-                first = int(round(relax[v]))
-                vals = [first, 1 - first]
-            frame_stack.append([v, vals, engine.mark(), node_bound])
-            return True
-
-        enter()
-        while frame_stack and not hit_limit:
-            var, vals, mark, _ = frame_stack[-1]
-            if not vals:
-                engine.backtrack(mark)
-                frame_stack.pop()
-                continue
-            val = vals.pop(0)
-            engine.backtrack(mark)
-            if engine.assign(var, val):
-                enter()
-            # on conflict just try the next value / unwind
-        # After a hit limit, every unexplored node lies below a frame with
-        # values left to try, or is the top frame's child the limit cut off.
-        if not frame_stack:
-            return None
-        return min([f[3] for f in frame_stack if f[1]] + [frame_stack[-1][3]])
-
-    open_bound = search()
-    wall = time.monotonic() - t_start
-    stats = {"nodes": nodes, "wall_time": wall, "lp_calls": lp_calls}
-
-    if hit_limit:
-        known = [x for x in (open_bound, incumbent_obj) if x is not None]
-        b = min(known) if known else None
-        return SolveResult("limit_reached", incumbent, incumbent_obj, b, stats, system)
+    stats = {"nodes": nodes, "wall_time": time.monotonic() - t_start, "lp_calls": nodes}
+    if stack:
+        # only a limit leaves children open; every unexplored node lies
+        # below one of them
+        bounds = [b for *_, b in stack if b is not None]
+        if incumbent is not None:
+            bounds.append(incumbent_obj)
+        return SolveResult("limit_reached", incumbent, incumbent_obj,
+                           min(bounds, default=None), stats, system)
     if incumbent is None:
         return SolveResult("infeasible", None, None, None, stats, system)
     return SolveResult("optimal", incumbent, incumbent_obj, incumbent_obj, stats, system)

@@ -57,6 +57,9 @@ def verify(instance, solution) -> list:
             if arc is None:
                 bad("structure", f"train {tid}: step {s.frm}->{s.to} uses an undeclared arc")
                 ok_structure = False
+            elif s.depart < 0:
+                bad("structure", f"train {tid}: step {s.frm}->{s.to} departs at {s.depart}, "
+                    f"before time 0")
             elif s.depart + arc.travel_time > horizon:
                 bad("structure", f"train {tid}: step {s.frm}->{s.to} at {s.depart} "
                     f"crosses the horizon")

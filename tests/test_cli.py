@@ -1,11 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from helpers import line_instance, run_fresh
+from helpers import line_instance, mk_network, mk_train, run_fresh
 from raildesign import cli
-from raildesign.model import load_solution, save_instance
+from raildesign.model import Instance, load_solution, save_instance
 
 
 def write(tmp_path, inst, name="inst.json"):
@@ -93,7 +94,7 @@ def test_solve_bad_file(tmp_path, capsys):
 
 def test_solve_invalid_instance(tmp_path, capsys):
     inst = line_instance(c=1, ce=0, k=0, n_trains=1)
-    data = json.loads(open(write(tmp_path, inst)).read())
+    data = json.loads(Path(write(tmp_path, inst)).read_text())
     data["arcs"][0]["travel_time"] = 0
     p = tmp_path / "invalid.json"
     p.write_text(json.dumps(data))
@@ -108,8 +109,8 @@ def test_solve_invalid_instance(tmp_path, capsys):
     (("trains", 0), {"optional": "false", "penalty": 4}),
 ], ids=["nodes-int", "headway-default-str", "optional-yes", "optional-false-str"])
 def test_solve_mistyped_field(tmp_path, capsys, where, patch):
-    data = json.loads(open(write(tmp_path, line_instance(c=1, ce=0, k=0,
-                                                         n_trains=1))).read())
+    data = json.loads(Path(write(tmp_path, line_instance(c=1, ce=0, k=0,
+                                                         n_trains=1))).read_text())
     target = data
     for key in where:
         target = target[key]
@@ -124,6 +125,21 @@ def test_explicit_mode_mismatch(tmp_path, capsys):
     inst = line_instance(c=1, ce=0, k=0, n_trains=1)  # dwell on: SP solver refuses
     assert cli.main(["solve", write(tmp_path, inst), "--mode", "sp"]) == 1
     assert "error: mode sp" in capsys.readouterr().err
+
+
+def test_sp_mode_takes_multi_arcs(tmp_path, capsys):
+    # two copies of s->t carry both trains at once; only the SP solver
+    # supports multi-arcs, and auto mode falls through to the MILP
+    net = mk_network([("s", "t", 1, 1, 0, 0, 2)])
+    inst = Instance(network=net, horizon=1, capacity_window=1, allow_dwell=False,
+                    trains=(mk_train("T0", "s", "t", 0, 1), mk_train("T1", "s", "t", 0, 1)))
+    path = write(tmp_path, inst)
+    out = tmp_path / "sol.json"
+    assert cli.main(["solve", path, "--mode", "sp", "-o", str(out)]) == 0
+    assert "objective: 0" in capsys.readouterr().out
+    assert set(load_solution(out).routes) == {"T0", "T1"}
+    assert cli.main(["solve", path, "--mode", "auto"]) == 1
+    assert "ARC_MULTIPLICITY" in capsys.readouterr().err
 
 
 def test_solve_then_verify_round_trip(tmp_path, capsys):
@@ -141,7 +157,7 @@ def test_verify_reports_violations(tmp_path, capsys):
     out = str(tmp_path / "sol.json")
     cli.main(["solve", path, "-o", out])
     capsys.readouterr()
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     data["expanded_arcs"] = []
     (tmp_path / "mut.json").write_text(json.dumps(data))
     assert cli.main(["verify", path, str(tmp_path / "mut.json")]) == 1
@@ -162,7 +178,7 @@ def test_verify_mistyped_solution(tmp_path, capsys, patch):
     out = str(tmp_path / "sol.json")
     assert cli.main(["solve", path, "-o", out]) == 0
     capsys.readouterr()
-    data = json.loads(open(out).read())
+    data = json.loads(Path(out).read_text())
     data.update(patch)
     (tmp_path / "mistyped.json").write_text(json.dumps(data))
     assert cli.main(["verify", path, str(tmp_path / "mistyped.json")]) == 1
@@ -185,7 +201,7 @@ def test_gen_x3c(tmp_path, capsys):
     out = str(tmp_path / "x3c.json")
     assert cli.main(["gen-x3c", "--q", "2", "--subsets", "4", "--seed", "11",
                      "--planted", "-o", out]) == 0
-    sidecar = json.loads(open(out + ".x3c.json").read())
+    sidecar = json.loads(Path(out + ".x3c.json").read_text())
     assert sidecar["threshold"] == 6
     assert sidecar["has_cover"] is True
     assert len(sidecar["subsets"]) == 4

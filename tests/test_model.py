@@ -59,6 +59,20 @@ def test_structural_errors_are_collected():
         assert code in got, code
 
 
+def test_departure_before_time_zero_rejected():
+    inst = line_instance(c=1, ce=0, k=0, n_trains=2, horizon=2, dep=-3)
+    assert codes(validate_instance(inst)) == {"TRAIN_WINDOW"}
+
+
+def test_headway_naming_an_undeclared_train_rejected():
+    net = mk_network([("A", "B", 1, 1, 0, 0)],
+                     headways=HeadwayTable(entries={("A", "B", "T1", "Tx"): 3}))
+    inst = Instance(network=net, horizon=2, capacity_window=1,
+                    trains=(mk_train("T1", "A", "B", 0, 2),))
+    assert codes(validate_instance(inst)) == {"HEADWAY_REF"}
+    assert "undeclared train" in validate_instance(inst).errors[0].message
+
+
 def test_penalty_flag_rules():
     net = mk_network([("A", "B", 1, 1, 0, 0)])
     bad1 = Instance(network=net, horizon=1,

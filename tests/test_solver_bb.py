@@ -3,10 +3,10 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy import optimize
 
 from helpers import (corridor_instance, enumerate_system, float_mip_objective,
@@ -188,34 +188,22 @@ def test_fractional_costs_stay_exact():
     assert res.objective == Fraction(1, 3)
 
 
-def test_normalized_rows():
+def test_le_rows():
     sys = ConstraintSystem()
     for i in range(2):
         sys.add_var(VarMeaning("expand", arc_index=i), f"b{i}")
     sys.rows.append(LinearRow([(0, Fraction(1, 2)), (1, Fraction(1, 3))],
                               "<=", Fraction(5, 6), "r1"))
     sys.rows.append(LinearRow([(0, 1)], "=", 1, "r2"))
-    rows = solver_bb._le_rows(solver_bb._integer_rows(sys))
-    assert ([0, 1], [3, 2], 5) == tuple(rows[0])
-    assert ([0], [1], 1) == tuple(rows[1])  # = splits into <= and >=
-    assert ([0], [-1], -1) == tuple(rows[2])
+    rows = solver_bb._le_rows(sys)
+    # coefficients stay as built: Fractions are not scaled to integers
+    assert ([0, 1], [Fraction(1, 2), Fraction(1, 3)], Fraction(5, 6)) == rows[0]
+    assert {type(c) for c in rows[0][1]} == {Fraction}
+    assert ([0], [1], 1) == rows[1]  # = splits into <= and >=
+    assert ([0], [-1], -1) == rows[2]
     sys.rows.append(LinearRow([(0, 1), (0, 1)], "<=", 1, "dup"))
     with pytest.raises(ValueError, match="duplicate"):
-        solver_bb._integer_rows(sys)
-
-
-def test_integer_fast_path_matches_fractions():
-    # reference: every row through Fraction and the lcm of its denominators
-    system = x3c_system(3, 8, 4)
-    want = []
-    for row in system.rows:
-        coefs = [Fraction(c) for _, c in row.terms]
-        rhs = Fraction(row.rhs)
-        denom = lcm(rhs.denominator, *(c.denominator for c in coefs))
-        for m in {"<=": (1,), ">=": (-1,), "=": (1, -1)}[row.sense]:
-            want.append(([v for v, _ in row.terms],
-                         [m * int(c * denom) for c in coefs], m * int(rhs * denom)))
-    assert solver_bb._le_rows(solver_bb._integer_rows(system)) == want
+        solver_bb._le_rows(sys)
 
 
 def no_row_system():
@@ -262,7 +250,7 @@ def test_persistent_lp_matches_linprog(system):
     # a 0-1 point from HiGHS MIP: fixings taken from it stay feasible
     feasible = np.round(optimize.milp(cost, integrality=np.ones(n), constraints=constraints,
                                       bounds=optimize.Bounds(0, 1)).x)
-    model = solver_bb._lp_model(solver_bb._integer_rows(system), n, cost)
+    model = solver_bb._lp_model(system.rows, n, cost)
     rng = random.Random(11)
     statuses = []
     for step in range(24):
@@ -394,6 +382,35 @@ def test_extract_fails_loudly_on_garbage_incumbent(inst, steps, error):
         extract_solution(inst, solver_bb.SolveResult("optimal", bad,
                                                      res.objective, res.bound,
                                                      {}, system))
+
+
+RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def random_systems(draw):
+    """Up to 6 variables, rational costs and rows of every sense."""
+    sys = ConstraintSystem()
+    n = draw(st.integers(1, 6))
+    for v in range(n):
+        sys.add_var(VarMeaning(draw(st.sampled_from(["expand", "route"])), arc_index=v),
+                    f"x{v}")
+        sys.objective.append((v, draw(RATIONALS)))
+    sys.objective_constant = draw(RATIONALS)
+    for r in range(draw(st.integers(0, 5))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        sys.rows.append(LinearRow([(v, draw(RATIONALS)) for v in cols],
+                                  draw(st.sampled_from(["<=", ">=", "="])),
+                                  draw(RATIONALS), f"r{r}"))
+    return sys
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(random_systems())
+def test_matches_enumeration_on_random_rational_systems(bound_mode, system):
+    res = solve(system)
+    assert (res.status, res.objective) == enumerate_system(system)
 
 
 def test_constant_row_contradiction():

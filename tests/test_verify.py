@@ -136,6 +136,15 @@ def test_structure_violations():
     assert "structure" in families(verify(inst, horizon_cross))
 
 
+def test_departure_before_time_zero_is_flagged():
+    # no capacity window starts before 0, so only the structure check sees
+    # two trains sharing a step there
+    inst = line_instance(c=1, ce=0, k=0, n_trains=2, horizon=2, dep=-3)
+    early = Solution((), {f"T{i}": (RoutedStep(f"T{i}", "A", "B", -1),) for i in range(2)},
+                     Fraction(0), Fraction(0), Fraction(0))
+    assert families(verify(inst, early)) == {"structure"}
+
+
 def test_violations_are_ordered_and_deduplicated():
     inst, sol = tight_solution()
     broken = dataclasses.replace(sol, expanded_arcs=(),

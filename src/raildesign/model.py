@@ -129,7 +129,6 @@ class ValidationIssue:
 @dataclass(frozen=True)
 class ValidationReport:
     errors: tuple
-    warnings: tuple = ()
 
     @property
     def ok(self) -> bool:

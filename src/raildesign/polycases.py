@@ -2,7 +2,11 @@
 
 Both assume fixed departure times and no headway interaction; instances
 outside those assumptions are rejected with a diagnostic so the caller can
-fall back to the full model.
+fall back to the full model.  The series-parallel solver also needs one
+origin, destination and departure for all trains, window = horizon, at most
+one scenario, and every source-to-sink path within the time allowed.  Then
+a train chooses only its path, and the number of trains on each arc alone
+decides the cost.
 """
 
 from __future__ import annotations
@@ -61,11 +65,8 @@ def is_arborescence(network):
     return roots[0]
 
 
-def _tree_path(network, origin, destination):
-    """Arc list along the unique tree path, or None if unreachable."""
-    parent = {}
-    for a in network.arcs:
-        parent[a.to] = a
+def _tree_path(parent, origin, destination):
+    """Arcs from origin to destination up the ``parent`` arc map, or None."""
     path = []
     node = destination
     while node != origin:
@@ -74,8 +75,6 @@ def _tree_path(network, origin, destination):
             return None
         path.append(arc)
         node = arc.frm
-        if len(path) > len(network.arcs):
-            return None
     path.reverse()
     return path
 
@@ -98,8 +97,9 @@ def solve_arborescence(instance) -> Solution | None:
     routes = {}
     arrivals = {}  # (train, node) -> arrival time there
     departures = {}  # (arc key) -> list of (train id, depart t)
+    parent = {a.to: a for a in net.arcs}
     for t in instance.trains:
-        path = _tree_path(net, t.origin, t.destination)
+        path = _tree_path(parent, t.origin, t.destination)
         if path is None:
             return None
         total_tt = sum(a.travel_time for a in path)
@@ -130,7 +130,6 @@ def solve_arborescence(instance) -> Solution | None:
             return None
 
     expanded = []
-    total = Fraction(0)
     by_key = net.arc_by_key()
     for sc in effective_scenarios(instance):
         members = set(sc.train_ids)
@@ -255,7 +254,15 @@ def sp_cost_base(arc, v: int):
     return INF
 
 
-def _sp_preconditions(instance):
+def sp_longest(tree: SpTree) -> int:
+    """Travel time of the longest source-to-sink path through the SP tree."""
+    if tree.kind == "leaf":
+        return tree.arc.travel_time
+    left, right = sp_longest(tree.left), sp_longest(tree.right)
+    return left + right if tree.kind == "series" else max(left, right)
+
+
+def _sp_preconditions(instance, tree):
     _require(not instance.allow_dwell, "dwell must be disabled for the SP solver")
     _require(_no_headways(instance), "nontrivial headways are not supported here")
     _require(all(not t.optional for t in instance.trains),
@@ -265,81 +272,52 @@ def _sp_preconditions(instance):
              "VIA nodes are not supported here")
     _require(instance.capacity_window == instance.horizon,
              "the SP solver needs aggregate capacity (window = horizon)")
+    _require(len(instance.scenarios) <= 1, "the SP solver takes at most one scenario")
     trains = instance.trains
     if trains:
-        o = {t.origin for t in trains}
-        d = {t.destination for t in trains}
-        dep = {t.earliest_departure for t in trains}
-        arr = {t.latest_arrival for t in trains}
-        _require(len(o) == 1 and len(d) == 1,
-                 "all trains must share one origin and one destination")
-        _require(len(dep) == 1, "all trains must share the fixed departure time")
-        _require(len(arr) == 1, "all trains must share the latest arrival time")
+        t = trains[0]
+        _require(all(u.origin == tree.source and u.destination == tree.sink for u in trains),
+                 "all trains must run from the SP source to the SP sink")
+        _require(all(u.earliest_departure == t.earliest_departure
+                     and u.latest_arrival == t.latest_arrival for u in trains),
+                 "all trains must share the fixed departure and the latest arrival")
+        _require(t.earliest_departure + sp_longest(tree)
+                 <= min(t.latest_arrival, instance.horizon),
+                 "the longest path arrives after the latest arrival or the "
+                 "horizon, so the choice of path would depend on time")
 
 
-def sp_cost_table(tree: SpTree, instance):
-    """Bottom-up cost tables K[node][(v, tt)] with argmin witnesses.
+def sp_cost_table(tree: SpTree, n_trains: int):
+    """Bottom-up tables of the least expansion cost of routing v = 0..n
+    trains through each SP block.
 
-    Returns (cost, witness) dicts keyed by id(tree node); witnesses hold the
-    chosen series time split or parallel train split.
+    Returns (cost, split) dicts keyed by id(tree node): ``cost[...][v]``,
+    and for a parallel node ``split[...][v]``, the trains sent left.
     """
-    _sp_preconditions(instance)
-    trains = instance.trains
-    nv = len(trains)
-    if trains:
-        dep = trains[0].earliest_departure
-        budget = min(trains[0].latest_arrival, instance.horizon) - dep
-    else:
-        budget = instance.horizon
-    budget = max(budget, 0)
-
     cost = {}
-    witness = {}
+    split = {}
 
     def fill(node):
-        if node.kind != "leaf":
-            fill(node.left)
-            fill(node.right)
-        table = {}
-        wit = {}
-        for v in range(nv + 1):
-            for tt in range(budget + 1):
-                if v == 0:
-                    table[(v, tt)] = Fraction(0)
-                    continue
-                if node.kind == "leaf":
-                    if tt < node.arc.travel_time:
-                        table[(v, tt)] = INF
-                    else:
-                        table[(v, tt)] = sp_cost_base(node.arc, v)
-                elif node.kind == "series":
-                    best, arg = INF, None
-                    lt = cost[id(node.left)]
-                    rt = cost[id(node.right)]
-                    for tt1 in range(1, tt):
-                        c = lt[(v, tt1)] + rt[(v, tt - tt1)]
-                        if c < best:
-                            best, arg = c, tt1
-                    table[(v, tt)] = best
-                    wit[(v, tt)] = arg
-                else:
-                    best, arg = INF, None
-                    lt = cost[id(node.left)]
-                    rt = cost[id(node.right)]
-                    for v1 in range(0, v + 1):
-                        c = lt[(v1, tt)] + rt[(v - v1, tt)]
-                        if c < best:
-                            best, arg = c, v1
-                    table[(v, tt)] = best
-                    wit[(v, tt)] = arg
-        cost[id(node)] = table
-        witness[id(node)] = wit
+        if node.kind == "leaf":
+            cost[id(node)] = [sp_cost_base(node.arc, v) for v in range(n_trains + 1)]
+            return
+        fill(node.left)
+        fill(node.right)
+        lt, rt = cost[id(node.left)], cost[id(node.right)]
+        if node.kind == "series":  # every train crosses both halves
+            cost[id(node)] = [a + b for a, b in zip(lt, rt)]
+            return
+        # ties go to the fewest trains on the left
+        best = [min((lt[v1] + rt[v - v1], v1) for v1 in range(v + 1))
+                for v in range(n_trains + 1)]
+        cost[id(node)] = [c for c, _ in best]
+        split[id(node)] = [v1 for _, v1 in best]
 
     fill(tree)
-    return cost, witness, budget
+    return cost, split
 
 
-def _recover_paths(tree, cost, witness, v, tt):
+def _recover_paths(tree, split, v):
     """List of v leaf-node paths realizing the optimal table entry.
 
     Paths hold leaf SpTree nodes rather than arcs so that multiplicity
@@ -350,30 +328,25 @@ def _recover_paths(tree, cost, witness, v, tt):
     if tree.kind == "leaf":
         return [[tree] for _ in range(v)]
     if tree.kind == "series":
-        tt1 = witness[id(tree)][(v, tt)]
-        left = _recover_paths(tree.left, cost, witness, v, tt1)
-        right = _recover_paths(tree.right, cost, witness, v, tt - tt1)
+        left = _recover_paths(tree.left, split, v)
+        right = _recover_paths(tree.right, split, v)
         return [lp + rp for lp, rp in zip(left, right)]
-    v1 = witness[id(tree)][(v, tt)]
-    return (_recover_paths(tree.left, cost, witness, v1, tt)
-            + _recover_paths(tree.right, cost, witness, v - v1, tt))
+    v1 = split[id(tree)][v]
+    return _recover_paths(tree.left, split, v1) + _recover_paths(tree.right, split, v - v1)
 
 
 def solve_series_parallel(instance) -> Solution | None:
     tree = sp_decompose(instance.network)
     _require(tree is not None, "network is not two-terminal series-parallel")
-    _sp_preconditions(instance)
+    _sp_preconditions(instance, tree)
     trains = instance.trains
-    if trains:
-        _require(trains[0].origin == tree.source and trains[0].destination == tree.sink,
-                 "trains must run from the SP source to the SP sink")
-    cost, witness, budget = sp_cost_table(tree, instance)
     nv = len(trains)
-    root = cost[id(tree)][(nv, budget)]
+    cost, split = sp_cost_table(tree, nv)
+    root = cost[id(tree)][nv]
     if root == INF:
         return None
 
-    paths = _recover_paths(tree, cost, witness, nv, budget)
+    paths = _recover_paths(tree, split, nv)
     # interchangeable trains: assign ids to paths in lexicographic order
     order = sorted(t.id for t in trains)
     routes = {}
@@ -396,7 +369,7 @@ def solve_series_parallel(instance) -> Solution | None:
             total += leaf.arc.expansion_cost
     expanded.sort()
     if total != root:
-        raise RuntimeError("witness recovery disagrees with the cost table")
+        raise RuntimeError("recovered paths disagree with the cost table")
     return Solution(
         expanded_arcs=tuple(expanded),
         routes=routes,

@@ -120,17 +120,15 @@ def _lp_model(rows, nvars, cost):
     change only the column bounds, so each run warm-starts from the basis of
     the one before.
     """
-    row_of, col_of, val_of, row_lo, row_up = [], [], [], [], []
+    start, col_of, val_of, row_lo, row_up = [0], [], [], [], []
     for row in rows:
         if not row.terms:
             continue
-        row_of.extend([len(row_lo)] * len(row.terms))
+        start.append(start[-1] + len(row.terms))
         col_of.extend(v for v, _ in row.terms)
         val_of.extend(c for _, c in row.terms)
         row_lo.append(-_highs.kHighsInf if row.sense == "<=" else row.rhs)
         row_up.append(_highs.kHighsInf if row.sense == ">=" else row.rhs)
-    col_of = _np.array(col_of, dtype=_np.int64)
-    order = _np.argsort(col_of, kind="stable")
     lp = _highs.HighsLp()
     lp.num_col_ = nvars
     lp.num_row_ = len(row_lo)
@@ -140,13 +138,12 @@ def _lp_model(rows, nvars, cost):
     lp.row_lower_ = _np.array(row_lo, dtype=float)
     lp.row_upper_ = _np.array(row_up, dtype=float)
     matrix = lp.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.format_ = _highs.MatrixFormat.kRowwise
     matrix.num_col_ = nvars
     matrix.num_row_ = len(row_lo)
-    matrix.start_ = _np.concatenate(
-        ([0], _np.cumsum(_np.bincount(col_of, minlength=nvars)))).astype(_np.int32)
-    matrix.index_ = _np.array(row_of, dtype=_np.int32)[order]
-    matrix.value_ = _np.array(val_of, dtype=float)[order]
+    matrix.start_ = _np.array(start, dtype=_np.int32)
+    matrix.index_ = _np.array(col_of, dtype=_np.int32)
+    matrix.value_ = _np.array(val_of, dtype=float)
     model = _highs._Highs()
     model.setOptionValue("output_flag", False)
     model.passModel(lp)

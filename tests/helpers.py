@@ -13,6 +13,7 @@ import raildesign
 from raildesign.model import (Arc, ConnectionRequirement, HeadwayTable,
                               Instance, Network, Node, RoutedStep, Scenario,
                               Solution, TrainRequest, validate_instance)
+from raildesign.polycases import sp_decompose, sp_longest
 from raildesign.verify import verify
 
 SRC = os.path.dirname(os.path.dirname(raildesign.__file__))
@@ -371,15 +372,18 @@ def _random_sp_arcs(rng, budget, used, s, t, fresh):
 
 
 def random_sp_instance(rng: random.Random, max_arcs=12, max_trains=6):
-    """Random two-terminal SP network, uniform trains, window = horizon."""
+    """Random two-terminal SP network, uniform trains, window = horizon.
+
+    The horizon is at least the longest path, as the SP solver requires.
+    """
     while True:
         fresh = itertools.count()
         arcs = _random_sp_arcs(rng, rng.randint(1, max_arcs), set(), "s", "t", fresh)
         if len(arcs) <= max_arcs:  # leaf subdivision can overshoot by a couple
             break
     net = mk_network(arcs)
-    min_tt = min(tt for (_, _, tt, *_rest) in arcs)
-    horizon = rng.randint(max(1, min_tt), sum(tt for (_, _, tt, *_r) in arcs) + 1)
+    horizon = rng.randint(sp_longest(sp_decompose(net)),
+                          sum(tt for (_, _, tt, *_r) in arcs) + 1)
     trains = tuple(mk_train(f"T{k:02d}", "s", "t", 0, horizon)
                    for k in range(rng.randint(0, max_trains)))
     return Instance(network=net, horizon=horizon, trains=trains,

@@ -142,6 +142,20 @@ def test_sp_mode_takes_multi_arcs(tmp_path, capsys):
     assert "ARC_MULTIPLICITY" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, reason", [("sp_two_blocks", "longest path"),
+                                          ("sp_two_scenarios", "one scenario")])
+def test_auto_falls_back_where_sp_declines(name, reason, capsys):
+    # series-parallel networks where timing or scenarios matter: the SP
+    # solver declines, and auto mode answers from the full model
+    path = str(Path(__file__).parent / "data" / f"{name}.json")
+    assert cli.main(["solve", path]) == 0
+    printed = capsys.readouterr().out
+    assert "status: optimal" in printed and "objective: 0\n" in printed
+    assert cli.main(["solve", path, "--mode", "sp"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: mode sp:") and reason in err
+
+
 def test_solve_then_verify_round_trip(tmp_path, capsys):
     inst = line_instance(c=1, ce=1, k=4, n_trains=2, horizon=1, dwell=False)
     path = write(tmp_path, inst)

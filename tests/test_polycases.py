@@ -190,13 +190,15 @@ def sp_instance(arcs, n_trains, horizon):
 def test_sp_table_series_splits():
     inst = sp_instance([("s", "m", 1, 2, 3, 5), ("m", "t", 1, 2, 3, 7)], 4, 2)
     tree = sp_decompose(inst.network)
-    cost, witness, budget = sp_cost_table(tree, inst)
-    assert budget == 2
-    # only split is tt1 = 1, so the root is the sum of the two base cases
-    assert cost[id(tree)][(4, 2)] == sp_cost_base(inst.network.arcs[0], 4) \
+    cost, split = sp_cost_table(tree, 4)
+    # every train crosses both arcs, so the root is the sum of the base cases
+    assert cost[id(tree)][4] == sp_cost_base(inst.network.arcs[0], 4) \
         + sp_cost_base(inst.network.arcs[1], 4) == 12
-    assert witness[id(tree)][(4, 2)] == 1
-    assert cost[id(tree)][(4, 1)] == INF  # not enough time for two arcs
+    assert id(tree) not in split  # only parallel nodes split the trains
+    # not enough time for two arcs: the solver declines instead of answering
+    short = sp_instance([("s", "m", 1, 2, 3, 5), ("m", "t", 1, 2, 3, 7)], 4, 1)
+    with pytest.raises(UnsupportedInstance, match="longest path"):
+        solve_series_parallel(short)
 
 
 def test_sp_table_parallel_splits():
@@ -204,17 +206,20 @@ def test_sp_table_parallel_splits():
     inst = sp_instance([("s", "t", 1, 3, 0, 9),
                         ("s", "m", 1, 0, 3, 2), ("m", "t", 1, 3, 3, 0)], 5, 2)
     tree = sp_decompose(inst.network)
-    cost, witness, _ = sp_cost_table(tree, inst)
+    cost, split = sp_cost_table(tree, 5)
     # 3 trains ride free, 2 go over the expandable branch at cost 2
-    assert cost[id(tree)][(5, 2)] == 2
+    assert cost[id(tree)][5] == 2
+    # the expandable branch takes up to 3 trains at the same cost; the tie
+    # goes to the fewest trains on the free line (the left branch)
+    assert tree.left.kind == "leaf" and split[id(tree)][5] == 2
 
 
 def test_sp_table_zero_trains():
     inst = sp_instance([("s", "m", 1, 0, 0, 3), ("m", "t", 1, 0, 0, 3)], 0, 2)
     tree = sp_decompose(inst.network)
-    cost, _, budget = sp_cost_table(tree, inst)
-    for tt in range(budget + 1):
-        assert cost[id(tree)][(0, tt)] == 0
+    cost, _ = sp_cost_table(tree, 0)
+    assert cost[id(tree)] == [0]
+    assert solve_series_parallel(inst).objective_value == 0
 
 
 def test_sp_table_monotonicity():
@@ -222,15 +227,9 @@ def test_sp_table_monotonicity():
     for _ in range(25):
         inst = random_sp_instance(rng, max_arcs=8, max_trains=5)
         tree = sp_decompose(inst.network)
-        cost, _, budget = sp_cost_table(tree, inst)
-        nv = len(inst.trains)
+        cost, _ = sp_cost_table(tree, len(inst.trains))
         for table in cost.values():
-            for v in range(nv + 1):
-                for tt in range(budget):
-                    assert table[(v, tt)] >= table[(v, tt + 1)]
-            for tt in range(budget + 1):
-                for v in range(nv):
-                    assert table[(v, tt)] <= table[(v + 1, tt)]
+            assert all(a <= b for a, b in zip(table, table[1:]))
 
 
 def sp_paths(tree):
@@ -270,9 +269,9 @@ def test_sp_root_matches_brute_force():
     for _ in range(40):
         inst = random_sp_instance(rng, max_arcs=7, max_trains=4)
         tree = sp_decompose(inst.network)
-        cost, _, budget = sp_cost_table(tree, inst)
         nv = len(inst.trains)
-        assert cost[id(tree)][(nv, budget)] == sp_brute_force(tree, nv, budget)
+        cost, _ = sp_cost_table(tree, nv)
+        assert cost[id(tree)][nv] == sp_brute_force(tree, nv, inst.horizon)
 
 
 def test_sp_brute_force_with_multiplicity():
@@ -281,9 +280,9 @@ def test_sp_brute_force_with_multiplicity():
     inst = Instance(network=net, horizon=1, trains=trains,
                     capacity_window=1, allow_dwell=False)
     tree = sp_decompose(net)
-    cost, _, budget = sp_cost_table(tree, inst)
+    cost, _ = sp_cost_table(tree, 3)
     # 3 trains over two c=1/ce=1 copies: expand one of them
-    assert cost[id(tree)][(3, budget)] == 4 == sp_brute_force(tree, 3, budget)
+    assert cost[id(tree)][3] == 4 == sp_brute_force(tree, 3, inst.horizon)
     sol = solve_series_parallel(inst)
     assert sol is not None and sol.objective_value == 4
     assert len(sol.routes) == 3
@@ -304,6 +303,46 @@ def test_sp_solver_matches_full_model():
             assert res.status == "optimal"
             assert res.objective == sol.objective_value
     assert seen_infeasible >= 1  # the sample must cover both verdicts
+
+
+def series_blocks_instance(rng):
+    """Two or three blocks in series, each a pair of parallel lines of 1-3
+    and 2-3 unit arcs; all trains leave at 0, and the horizon is often too
+    short for the longest path, so a train's path depends on time."""
+    arcs, fresh = [], itertools.count()
+    stops = ["s"] + [f"M{b}" for b in range(rng.randint(1, 2))] + ["t"]
+    for u, v in zip(stops, stops[1:]):
+        for shortest in (1, 2):  # never two direct u->v arcs
+            chain = [u] + [f"X{next(fresh)}" for _ in range(rng.randint(shortest, 3) - 1)] + [v]
+            arcs += [(a, b, 1, rng.randint(0, 1), rng.randint(0, 1), rng.randint(1, 5))
+                     for a, b in zip(chain, chain[1:])]
+    horizon = rng.randint(2, 7)
+    trains = tuple(mk_train(f"T{k}", "s", "t", 0, horizon) for k in range(rng.randint(2, 4)))
+    return Instance(network=mk_network(arcs), horizon=horizon, trains=trains,
+                    capacity_window=horizon, allow_dwell=False)
+
+
+def test_sp_series_blocks_decline_or_match_brute_force():
+    # trains that split the time differently over two blocks (fast then
+    # slow, slow then fast) can share no arc; the SP solver must decline
+    # such instances rather than answer them wrongly
+    rng = random.Random(7)
+    accepted = declined = 0
+    for _ in range(1500):
+        inst = series_blocks_instance(rng)
+        assert validate_instance(inst).ok
+        want = sp_brute_force(sp_decompose(inst.network), len(inst.trains), inst.horizon)
+        try:
+            sol = solve_series_parallel(inst)
+        except UnsupportedInstance:
+            res = solver_bb.solve(milp.build(inst))
+            assert res.status == ("infeasible" if want == INF else "optimal")
+            assert want == INF or res.objective == want
+            declined += 1
+            continue
+        assert (INF if sol is None else sol.objective_value) == want
+        accepted += 1
+    assert accepted >= 100 and declined >= 100
 
 
 def test_sp_solver_rejects_bridge_and_slack():
@@ -328,8 +367,8 @@ def test_sp_table_size_matches_dimensions():
     rng = random.Random(4)
     inst = random_sp_instance(rng, max_arcs=10, max_trains=5)
     tree = sp_decompose(inst.network)
-    cost, _, budget = sp_cost_table(tree, inst)
     nv = len(inst.trains)
+    cost, _ = sp_cost_table(tree, nv)
     nodes = []
     stack = [tree]
     while stack:
@@ -340,4 +379,4 @@ def test_sp_table_size_matches_dimensions():
     leaves = sum(1 for n in nodes if n.kind == "leaf")
     assert len(nodes) == 2 * leaves - 1
     for n in nodes:
-        assert len(cost[id(n)]) == (nv + 1) * (budget + 1)
+        assert len(cost[id(n)]) == nv + 1

@@ -4,17 +4,29 @@ Each train gets route and dwell variables only on the time-expanded slots
 it can use on a walk from its origin, departing in its window, to its
 destination, arriving in its window (``expand``).  A walk never re-enters
 the origin and ends at its first arrival at the destination.  Row
-families, in emission order: capacity (every window, used or not),
-departure, arrival, headway, flow conservation, connections, VIA.
+families, in emission order: capacity, departure, arrival, headway, flow
+conservation, connections, VIA.
+
+Each distinct row is emitted once, and no row that the others and the 0-1
+bounds already imply: a capacity window with no more train terms than the
+arc's capacity, or with the train terms of an earlier window on the arc
+(in this scenario or an earlier one); a second headway row set for a pair
+of trains that shares several scenarios; a connection row at a time when
+the connecting train cannot depart; a departure, arrival, connection
+"departs" or VIA row with the same variables and sense as an earlier one.
+The dropped rows cut off no 0-1 point and no point of the LP relaxation,
+so every optimum stays the same.
 
 Rows find their terms in one per-train slot index that ``build`` fills as
 it creates the variables: the train's (departure, variable) pairs per arc,
 and the terms of each flow row it touches.  No row looks up a slot that
 does not exist.  The expansion variable of arc ``i`` is variable ``i``.
 
-Row names double as machine tags, e.g. ``cap_<from>_<to>_<scenario>_<t0>``;
-each id is sanitised to ``[A-Za-z0-9]`` once per build, and a name that
-repeats an earlier one gets a ``__2``, ``__3``, ... suffix.  The capacity
+Row names double as machine tags, e.g. ``cap_<from>_<to>_<scenario>_<t0>``
+(the first scenario and window start that gave the row) or
+``hw_<from>_<to>_<v1>_<v2>_<t1>_<t2>``; each id is sanitised to
+``[A-Za-z0-9]`` once per build, and a name that repeats an earlier one gets
+a ``__2``, ``__3``, ... suffix.  The capacity
 window is half-open [t0, t0 + window): "c trains per window" is meant
 literally and window = 1 means "per time step".
 """
@@ -227,9 +239,14 @@ def build(instance) -> ConstraintSystem:
 
     # Capacity: one row per (arc, scenario, window start), linearized as
     # sum x - expandable * b <= capacity.  A departure at t counts in the
-    # windows starting at t - window + 1 .. t.
+    # windows starting at t - window + 1 .. t.  A window with at most
+    # `capacity` train terms always holds (x <= 1, b >= 0), and one whose
+    # train terms already gave a row on this arc repeats that row, so
+    # neither is emitted; a kept row is named after the first scenario and
+    # start that produced it.
     last = horizon - window + 1
     for ai, arc in enumerate(net.arcs):
+        seen = set()
         for sc in scenarios:
             windows = [[] for _ in range(last + 1)]
             for tid in sc.train_ids:
@@ -237,6 +254,12 @@ def build(instance) -> ConstraintSystem:
                     for t0 in range(max(0, t - window + 1), min(t, last) + 1):
                         windows[t0].append((vid, 1))
             for t0, terms in enumerate(windows):
+                if len(terms) <= arc.capacity:
+                    continue
+                key = frozenset(vid for vid, _ in terms)
+                if key in seen:
+                    continue
+                seen.add(key)
                 terms.append((ai, -arc.expandable_capacity))
                 sys.rows.append(LinearRow(terms, "<=", arc.capacity,
                                           name(f"cap_{arc_tag[ai]}_{tag[sc.id]}_{t0}")))
@@ -245,43 +268,62 @@ def build(instance) -> ConstraintSystem:
     # window and every slot into the destination arrives in it.  A mandatory
     # train departs exactly once and an optional one at most once, so with
     # flow conservation a train's route variables form one walk.  That
-    # implies the arrival row, which is kept because the search takes fewer
-    # nodes with it (1,731 against 1,853 on the seed-1 corridor benchmark).
+    # implies the arrival row.  It is kept; the seed-1 benchmark nodes with
+    # and without it are mixed: 101 / 103 (x3c), 148 / 144 (corridor) and
+    # 56 / 56 (scenarios).
+    #
+    # These rows, the connections' "departs at all" rows and the VIA rows
+    # each count some route variables against 1; one that repeats an
+    # earlier such row (a VIA node from which every walk goes straight to
+    # the destination, say) is not emitted.
+    once = set()  # (sense, variables) of each row emitted by ``count_once``
+
+    def count_once(terms, sense, base):
+        key = (sense, frozenset(v for v, _ in terms))
+        if key not in once:
+            once.add(key)
+            sys.rows.append(LinearRow(terms, sense, 1, name(base)))
+
     for tid in sorted(trains):
         tr = trains[tid]
         deps = route_terms(tid, arcs_out.get(tr.origin, []))
         if tr.optional:
-            sys.rows.append(LinearRow(deps, "<=", 1, name(f"dep_{tag[tid]}_once")))
+            count_once(deps, "<=", f"dep_{tag[tid]}_once")
         else:
-            sys.rows.append(LinearRow(deps, "=", 1, name(f"dep_{tag[tid]}")))
-            sys.rows.append(LinearRow(route_terms(tid, arcs_in.get(tr.destination, [])),
-                                      ">=", 1, name(f"arr_{tag[tid]}")))
+            count_once(deps, "=", f"dep_{tag[tid]}")
+            count_once(route_terms(tid, arcs_in.get(tr.destination, [])), ">=",
+                       f"arr_{tag[tid]}")
 
-    # Minimum headway, per scenario; trains shared by scenarios get one row
-    # under each scenario tag.  Rows are vacuous from the first gap of M on
-    # (no row, so no name), and on an arc with no positive headway.
+    # Minimum headway: one row set per ordered pair of distinct trains that
+    # share a scenario, in order of the first scenario that holds both.
+    # Rows are vacuous from the first gap of M on (no row, so no name), and
+    # on an arc with no positive headway.
+    pairs = {}  # insertion-ordered set
+    for sc in scenarios:
+        for v1 in sc.train_ids:
+            for v2 in sc.train_ids:
+                if v1 != v2:
+                    pairs[v1, v2] = None
     hw_arcs = {(frm, to) for (frm, to, _v1, _v2), m in net.headways.entries.items() if m > 0}
     for ai, arc in enumerate(net.arcs):
         if net.headways.default <= 0 and arc.key not in hw_arcs:
             continue
-        for sc in scenarios:
-            on_arc = [(v, runs[v][ai]) for v in sc.train_ids if ai in runs[v]]
-            for v1, run1 in on_arc:
-                for v2, run2 in on_arc:
-                    if v1 == v2:
+        for v1, v2 in pairs:
+            run1, run2 = runs[v1].get(ai), runs[v2].get(ai)
+            if not run1 or not run2:
+                continue
+            M = net.headways.get(arc.frm, arc.to, v1, v2)
+            if M <= 0:
+                continue
+            prefix = f"hw_{arc_tag[ai]}_{tag[v1]}_{tag[v2]}"
+            for t1, x1 in run1:
+                for t2, x2 in run2:
+                    if t1 >= t2:
                         continue
-                    M = net.headways.get(arc.frm, arc.to, v1, v2)
-                    if M <= 0:
-                        continue
-                    prefix = f"hw_{arc_tag[ai]}_{tag[sc.id]}_{tag[v1]}_{tag[v2]}"
-                    for t1, x1 in run1:
-                        for t2, x2 in run2:
-                            if t1 >= t2:
-                                continue
-                            if t2 - t1 >= M:  # later t2 only widen the gap
-                                break
-                            sys.rows.append(headway_row(M, t1, t2, x1, x2,
-                                                        name=name(f"{prefix}_{t1}_{t2}")))
+                    if t2 - t1 >= M:  # later t2 only widen the gap
+                        break
+                    sys.rows.append(headway_row(M, t1, t2, x1, x2,
+                                                name=name(f"{prefix}_{t1}_{t2}")))
 
     # Flow conservation at every time node of the train's slots except its
     # own origin and destination; dwell appears on both sides when enabled.
@@ -293,25 +335,25 @@ def build(instance) -> ConstraintSystem:
                                       name(f"flow_{tag[tid]}_{tag[net.nodes[pos].id]}_{t}")))
 
     # Connections, in cumulative form: arrivals of the feeder at the station
-    # up to t dominate departures of the connecting train up to t.
+    # up to t dominate departures of the connecting train up to t.  Only a
+    # departure time of the connecting train gives a row: in between, the
+    # left-hand side only gains arrivals, so the row at the last departure
+    # (or 0 <= arrivals, before the first) implies it.
     for c in instance.connections:
         prefix = f"conn_{tag[c.station]}_{tag[c.feeder]}_{tag[c.connecting]}"
         feeds = [(t + net.arcs[ai].travel_time, vid) for ai in arcs_in.get(c.station, [])
                  for t, vid in runs[c.feeder].get(ai, ())]
-        for t in range(0, horizon + 1):
+        outs = arcs_out.get(c.station, [])
+        for t in sorted({t for ai in outs for t, _ in runs[c.connecting].get(ai, ())}):
             terms = [(vid, 1) for at, vid in feeds if at <= t]
-            terms += route_terms(c.connecting, arcs_out.get(c.station, []), -1, until=t)
-            if terms:
-                sys.rows.append(LinearRow(terms, ">=", 0, name(f"{prefix}_{t}")))
-        sys.rows.append(LinearRow(route_terms(c.connecting, arcs_out.get(c.station, [])),
-                                  ">=", 1, name(f"{prefix}_dep")))
+            terms += route_terms(c.connecting, outs, -1, until=t)
+            sys.rows.append(LinearRow(terms, ">=", 0, name(f"{prefix}_{t}")))
+        count_once(route_terms(c.connecting, outs), ">=", f"{prefix}_dep")
 
     # VIA: the train departs from the required node at least once.
     for tid in sorted(trains):
-        tr = trains[tid]
-        for n in tr.via_nodes:
-            sys.rows.append(LinearRow(route_terms(tid, arcs_out.get(n, [])), ">=", 1,
-                                      name(f"via_{tag[tid]}_{tag[n]}")))
+        for n in trains[tid].via_nodes:
+            count_once(route_terms(tid, arcs_out.get(n, [])), ">=", f"via_{tag[tid]}_{tag[n]}")
 
     return sys
 

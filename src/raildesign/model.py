@@ -243,10 +243,14 @@ def validate_instance(inst: Instance, allow_multi_arcs: bool = False) -> Validat
         loc = f"scenario {s.id}"
         if not s.train_ids:
             err("SCENARIO_EMPTY", "scenario has no trains", loc)
+        listed = set()
         for tid in s.train_ids:
             if tid not in train_ids:
                 err("SCENARIO_REF", f"scenario names unknown train {tid!r}", loc)
-            covered.add(tid)
+            if tid in listed:
+                err("SCENARIO_DUP", f"scenario lists train {tid!r} more than once", loc)
+            listed.add(tid)
+        covered |= listed
     if inst.scenarios:
         for tid in sorted(train_ids - covered):
             err("SCENARIO_COVERAGE", f"train {tid!r} appears in no scenario", f"train {tid}")

@@ -232,7 +232,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     # variables, which would otherwise bloat the search tree.
     feasible = engine.propagate_root()
     for v, occurrences in enumerate(engine.watch):
-        if feasible and values[v] == FREE and obj.get(v, Fraction(0)) <= 0 \
+        if feasible and values[v] == FREE and obj.get(v, 0) <= 0 \
                 and all(c <= 0 for _r, c in occurrences):
             feasible = engine.assign(v, 1)
     if not feasible:

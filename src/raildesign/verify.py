@@ -7,6 +7,7 @@ row-based model points at a bug in one of the two.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -34,9 +35,17 @@ def verify(instance, solution) -> list:
     horizon = instance.horizon
     window = instance.capacity_window
 
+    # An arc of multiplicity m is m parallel copies, each expandable once.
+    # Its copies are interchangeable only when one window spans the horizon
+    # and no headway separates departures on it; elsewhere it would matter
+    # which copy each step takes, and a solution does not say.
+    headway_arcs = {(frm, to) for (frm, to, _v1, _v2), m in net.headways.entries.items()
+                    if m > 0}
     for a in net.arcs:
-        if a.multiplicity != 1:
-            bad("structure", f"arc {a.frm}->{a.to}: multi-arc instances are not verifiable")
+        if a.multiplicity != 1 and (window != horizon or net.headways.default > 0
+                                    or a.key in headway_arcs):
+            bad("structure", f"arc {a.frm}->{a.to}: a multi-arc is verifiable only with "
+                "capacity window = horizon and no headway on it")
             return _ordered(violations)
 
     for tid in solution.routes:
@@ -107,11 +116,15 @@ def verify(instance, solution) -> list:
         if not t.optional and tid not in solution.routes:
             bad("flow", f"non-optional train {tid} has no route")
 
-    # per-scenario capacity windows and headway gaps
-    expanded = set(solution.expanded_arcs)
-    for key in expanded:
+    # per-scenario capacity windows and headway gaps; an arc is listed once
+    # per expanded copy
+    expanded = Counter(solution.expanded_arcs)
+    for key, k in expanded.items():
         if key not in arcs:
             bad("structure", f"expanded arc {key[0]}->{key[1]} is not declared")
+        elif k > arcs[key].multiplicity:
+            bad("structure", f"arc {key[0]}->{key[1]} is expanded {k} times, above its "
+                f"multiplicity {arcs[key].multiplicity}")
     departures = {}  # arc key -> list of (t, train)
     for tid, steps in solution.routes.items():
         for s in steps:
@@ -124,7 +137,8 @@ def verify(instance, solution) -> list:
             deps = sorted((d, tid) for d, tid in departures[key] if tid in members)
             if not deps:
                 continue
-            cap = arc.capacity + (arc.expandable_capacity if key in expanded else 0)
+            cap = (arc.multiplicity * arc.capacity
+                   + min(expanded[key], arc.multiplicity) * arc.expandable_capacity)
             for t0 in range(0, horizon - window + 2):
                 n = sum(1 for d, _ in deps if t0 <= d < t0 + window)
                 if n > cap:
@@ -168,7 +182,8 @@ def verify(instance, solution) -> list:
                 bad("via", f"train {tid} never passes through {n}")
 
     # objective consistency, exact rational comparison
-    expansion = sum((arcs[k].expansion_cost for k in expanded if k in arcs), Fraction(0))
+    expansion = sum((arcs[key].expansion_cost * k for key, k in expanded.items()
+                     if key in arcs), Fraction(0))
     penalty = sum((t.penalty for tid, t in sorted(trains.items())
                    if t.optional and tid not in solution.routes), Fraction(0))
     if solution.expansion_cost_total != expansion:

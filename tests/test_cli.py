@@ -142,6 +142,17 @@ def test_sp_mode_takes_multi_arcs(tmp_path, capsys):
     assert "ARC_MULTIPLICITY" in capsys.readouterr().err
 
 
+def test_sp_multi_arc_solution_verifies(tmp_path, capsys):
+    # both copies of s->t are expanded, each listed once; verify checks the
+    # file that solve --mode sp writes
+    path = str(Path(__file__).parent / "data" / "sp_multi_arc.json")
+    out = str(tmp_path / "sol.json")
+    assert cli.main(["solve", path, "--mode", "sp", "-o", out]) == 0
+    assert "objective: 8\n" in capsys.readouterr().out
+    assert cli.main(["verify", path, out]) == 0
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("name, reason", [("sp_two_blocks", "longest path"),
                                           ("sp_two_scenarios", "one scenario")])
 def test_auto_falls_back_where_sp_declines(name, reason, capsys):

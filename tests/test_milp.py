@@ -92,10 +92,23 @@ def test_build_single_train_counts():
     vid, coeff = system.objective[0]
     assert system.variables[vid].kind == "expand" and coeff == 5
     fams = names_by_family(system)
-    # window starts t0 with t0 + window <= horizon + 1
-    assert len(fams["cap"]) == inst.horizon - inst.capacity_window + 2
+    # one train on an arc of capacity 1 fills no window beyond it
+    assert "cap" not in fams
     # one route variable per departure time plus the expansion variable
     assert len(system.variables) == 1 + 3
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_build_window_count_when_every_window_binds(window):
+    # two trains on an arc of capacity 1, departures 0..H-1: every window
+    # start t0 <= H - W + 1 that holds a departure gives one row, H - W + 1
+    # of them for W = 1 (the start H holds none), H - W + 2 otherwise
+    inst = line_instance(c=1, ce=1, k=5, n_trains=2, horizon=5, window=window,
+                         dwell=False)
+    cap = names_by_family(milp.build(inst))["cap"]
+    H, W = inst.horizon, inst.capacity_window
+    assert len(cap) == (H - W + 1 if W == 1 else H - W + 2)
+    assert cap == [f"cap_A_B_all_{t0}" for t0 in range(len(cap))]
 
 
 def test_build_zero_trains():
@@ -127,7 +140,7 @@ def test_headway_rows_enumerated():
     hw = [r for r in system.rows if r.name.startswith("hw_")]
     pairs = set()
     for row in hw:
-        m = re.fullmatch(r"hw_A_B_all_(T\d)_(T\d)_(\d)_(\d)", row.name)
+        m = re.fullmatch(r"hw_A_B_(T\d)_(T\d)_(\d)_(\d)", row.name)
         assert m, row.name
         pairs.add((m.group(1), m.group(2), int(m.group(3)), int(m.group(4))))
     assert pairs == {(v1, v2, t1, t2)
@@ -143,7 +156,7 @@ def test_headway_entries_apply_to_their_arc_and_pair_only():
     inst = Instance(network=net, horizon=3, capacity_window=1, allow_dwell=False,
                     trains=(mk_train("T0", "A", "C", 0, 3), mk_train("T1", "A", "C", 0, 3)))
     hw = [r.name for r in milp.build(inst).rows if r.name.startswith("hw_")]
-    assert hw == ["hw_B_C_all_T0_T1_1_2"]
+    assert hw == ["hw_B_C_T0_T1_1_2"]
 
 
 def test_vacuous_headway_pair_takes_no_name():
@@ -156,7 +169,7 @@ def test_vacuous_headway_pair_takes_no_name():
     inst = Instance(network=net, horizon=4, capacity_window=1, allow_dwell=False,
                     trains=(mk_train("T0", "A", "D", 0, 2), mk_train("T1", "A", "D", 2, 4)))
     hw = [r.name for r in milp.build(inst).rows if r.name.startswith("hw_")]
-    assert hw == ["hw_A_Sx1_all_T0_T1_0_2"]
+    assert hw == ["hw_A_Sx1_T0_T1_0_2"]
 
 
 def test_headway_rows_never_mix_scenarios():
@@ -166,17 +179,19 @@ def test_headway_rows_never_mix_scenarios():
     inst = Instance(network=inst.network, horizon=inst.horizon, trains=inst.trains,
                     scenarios=scs, capacity_window=1, allow_dwell=False)
     system = milp.build(inst)
-    members = {s.id: set(s.train_ids) for s in scs}
-    hw_by_scenario = {"S1": 0, "S2": 0}
+    rows = {}
     for row in system.rows:
-        if not row.name.startswith("hw_"):
-            continue
-        sc = row.name.split("_")[3]
-        trains = {system.variables[v].train for v, _ in row.terms}
-        assert trains <= members[sc], row.name
-        hw_by_scenario[sc] += 1
-    # shared train T1 appears under both scenario tags
-    assert hw_by_scenario["S1"] > 0 and hw_by_scenario["S2"] > 0
+        if row.name.startswith("hw_"):
+            _hw, _a, _b, v1, v2, t1, t2 = row.name.split("_")
+            assert [(m.train, m.t) for m in (system.variables[v] for v, _ in row.terms)] \
+                == [(v1, int(t1)), (v2, int(t2))], row.name
+            rows.setdefault((v1, v2), []).append((int(t1), int(t2)))
+    # one row set per ordered pair that shares a scenario: T0 never meets
+    # T2 or T3, and T1, in both scenarios, gets no second set
+    shared = [("T0", "T1"), ("T1", "T0")] + [
+        (v1, v2) for v1 in ("T1", "T2", "T3") for v2 in ("T1", "T2", "T3") if v1 != v2]
+    assert sorted(rows) == sorted(shared)
+    assert all(times == [(0, 1), (0, 2), (1, 2)] for times in rows.values())
 
 
 def test_flow_rows_skip_origin_and_destination():
@@ -271,6 +286,74 @@ def test_monotone_growth_when_adding_a_train():
     names1 = {r.name for r in s1.rows}
     names2 = {r.name for r in s2.rows}
     assert names1 <= names2
+
+
+def presolve_draws(n=200):
+    """``random_walk_instance`` draws; half of them also get per-pair
+    headway entries of 0-3 on some (arc, leading, following) triples."""
+    rng = random.Random(12)
+    for _ in range(n):
+        inst = random_walk_instance(rng)
+        if rng.random() < 0.5:
+            ids = [t.id for t in inst.trains]
+            entries = {(a.frm, a.to, v1, v2): rng.randint(0, 3)
+                       for a in inst.network.arcs for v1 in ids for v2 in ids
+                       if v1 != v2 and rng.random() < 0.4}
+            headways = dataclasses.replace(inst.network.headways, entries=entries)
+            inst = dataclasses.replace(
+                inst, network=dataclasses.replace(inst.network, headways=headways))
+        yield inst
+
+
+def test_presolve_emits_each_distinct_row_once():
+    kinds = {"scenarios": 0, "pair headways": 0}
+    for inst in presolve_draws():
+        kinds["scenarios"] += bool(inst.scenarios)
+        kinds["pair headways"] += bool(inst.network.headways.entries)
+        seen = {}
+        for row in milp.build(inst).rows:
+            key = (row.sense, row.rhs, frozenset(row.terms))
+            assert key not in seen, (row.name, seen.get(key), inst)
+            seen[key] = row.name
+    assert all(kinds.values()), kinds
+
+
+def test_presolve_capacity_rows():
+    # every emitted cap row can bind, and every window of the unreduced
+    # model -- per scenario, arc and start t0, the route variables departing
+    # in [t0, t0 + window) -- is emitted or implied: it holds at most
+    # `capacity` variables, or an emitted row on the arc has its variables
+    for inst in presolve_draws():
+        system = milp.build(inst)
+        arcs = inst.network.arcs
+        emitted = {}  # arc index -> set of frozensets of route variables
+        for row in system.rows:
+            if not row.name.startswith("cap_"):
+                continue
+            routes = frozenset(v for v, c in row.terms
+                               if system.variables[v].kind == "route" and c == 1)
+            (ai, coef), = [(v, c) for v, c in row.terms if v not in routes]
+            assert system.variables[ai].kind == "expand"
+            assert (row.sense, row.rhs, coef) == ("<=", arcs[ai].capacity,
+                                                  -arcs[ai].expandable_capacity)
+            assert len(routes) > arcs[ai].capacity, row.name
+            emitted.setdefault(ai, set()).add(routes)
+        members = [set(s.train_ids) for s in inst.scenarios] or [
+            {t.id for t in inst.trains}]
+        W = inst.capacity_window
+        windows = set()
+        for ai, arc in enumerate(arcs):
+            for trains in members:
+                for t0 in range(inst.horizon - W + 2):
+                    slots = frozenset(
+                        v for v, m in enumerate(system.variables)
+                        if m.kind == "route" and m.arc_index == ai
+                        and m.train in trains and t0 <= m.t < t0 + W)
+                    windows.add((ai, slots))
+                    assert len(slots) <= arc.capacity or slots in emitted.get(ai, ()), \
+                        (ai, t0, inst)
+        # and no emitted row is other than one of those windows
+        assert {(ai, r) for ai, rs in emitted.items() for r in rs} <= windows
 
 
 def test_build_is_deterministic():

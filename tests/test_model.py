@@ -114,6 +114,12 @@ def test_scenario_coverage():
                      scenarios=(Scenario("S1", ()),),
                      capacity_window=1)
     assert "SCENARIO_EMPTY" in codes(validate_instance(empty))
+    # a train listed twice would give a capacity row the same variable twice
+    twice = Instance(network=inst.network, horizon=inst.horizon,
+                     trains=inst.trains,
+                     scenarios=(Scenario("S1", ("T0", "T1", "T0")),),
+                     capacity_window=1)
+    assert codes(validate_instance(twice)) == {"SCENARIO_DUP"}
 
 
 def test_multiplicity_needs_opt_in():

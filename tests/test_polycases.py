@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from raildesign.polycases import (INF, UnsupportedInstance, is_arborescence,
                                   solve_arborescence, solve_series_parallel,
                                   sp_cost_base, sp_cost_table, sp_decompose,
                                   sp_leaves)
+from raildesign.verify import verify
 
 
 # -- arborescences -----------------------------------------------------------
@@ -286,6 +288,26 @@ def test_sp_brute_force_with_multiplicity():
     sol = solve_series_parallel(inst)
     assert sol is not None and sol.objective_value == 4
     assert len(sol.routes) == 3
+
+
+def test_sp_multi_arc_solutions_match_brute_force_and_verify():
+    # random SP draws with some arcs doubled or tripled: the solver's answer
+    # is the brute-force optimum, and its solution passes verify
+    rng = random.Random(31)
+    twice = 0
+    for _ in range(60):
+        inst = random_sp_instance(rng, max_arcs=5, max_trains=6)
+        arcs = tuple(dataclasses.replace(a, multiplicity=rng.choice((1, 2, 3)))
+                     for a in inst.network.arcs)
+        inst = dataclasses.replace(inst, network=dataclasses.replace(inst.network, arcs=arcs))
+        assert validate_instance(inst, allow_multi_arcs=True).ok
+        sol = solve_series_parallel(inst)
+        want = sp_brute_force(sp_decompose(inst.network), len(inst.trains), inst.horizon)
+        assert (INF if sol is None else sol.objective_value) == want
+        if sol is not None:
+            assert verify(inst, sol) == [], inst
+            twice += len(sol.expanded_arcs) > len(set(sol.expanded_arcs))
+    assert twice >= 5  # draws whose solution expands two copies of an arc
 
 
 def test_sp_solver_matches_full_model():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 from helpers import (line_instance, mk_network, mk_train,
                      random_arborescence_instance, row_satisfied, two_arc_line)
-from raildesign import milp, reduction, solver_bb
-from raildesign.model import (ConnectionRequirement, Instance, RoutedStep,
-                              Solution)
+from raildesign import milp, polycases, reduction, solver_bb
+from raildesign.model import (ConnectionRequirement, HeadwayTable, Instance,
+                              RoutedStep, Solution)
 from raildesign.verify import FAMILIES, verify
 
 
@@ -143,6 +143,51 @@ def test_departure_before_time_zero_is_flagged():
     early = Solution((), {f"T{i}": (RoutedStep(f"T{i}", "A", "B", -1),) for i in range(2)},
                      Fraction(0), Fraction(0), Fraction(0))
     assert families(verify(inst, early)) == {"structure"}
+
+
+def multi_arc_instance(**changes):
+    """s->t at multiplicity 2, capacity 0, expandable 1 at cost 4, and two
+    trains that must cross it at once: both copies are expanded."""
+    net = mk_network([("s", "t", 1, 0, 1, 4, 2)])
+    inst = Instance(network=net, horizon=1, capacity_window=1, allow_dwell=False,
+                    trains=(mk_train("T0", "s", "t", 0, 1), mk_train("T1", "s", "t", 0, 1)))
+    return dataclasses.replace(inst, **changes)
+
+
+def test_multi_arc_solution_verifies():
+    inst = multi_arc_instance()
+    sol = polycases.solve_series_parallel(inst)
+    assert sol.expanded_arcs == (("s", "t"), ("s", "t")) and sol.objective_value == 8
+    assert verify(inst, sol) == []
+    # one copy expanded carries one train, and costs 4, not 8
+    one = dataclasses.replace(sol, expanded_arcs=(("s", "t"),))
+    assert families(verify(inst, one)) == {"capacity", "objective"}
+    # a third listing has no copy to expand
+    three = dataclasses.replace(sol, expanded_arcs=(("s", "t"),) * 3,
+                                objective_value=Fraction(12),
+                                expansion_cost_total=Fraction(12))
+    assert [v.detail for v in verify(inst, three)] == [
+        "arc s->t is expanded 3 times, above its multiplicity 2"]
+
+
+def test_multi_arc_outside_the_sp_scope_is_structure():
+    # which copy a step takes matters once windows are shorter than the
+    # horizon or departures on the arc are separated
+    sol = polycases.solve_series_parallel(multi_arc_instance())
+    wide = multi_arc_instance(horizon=2, trains=(mk_train("T0", "s", "t", 0, 2),
+                                                 mk_train("T1", "s", "t", 0, 2)))
+    headway = multi_arc_instance()
+    headway = dataclasses.replace(headway, network=dataclasses.replace(
+        headway.network, headways=HeadwayTable(entries={("s", "t", "T0", "T1"): 1})))
+    for inst in (wide, headway):
+        assert [v.family for v in verify(inst, sol)] == ["structure"]
+        assert "multi-arc" in verify(inst, sol)[0].detail
+
+
+def test_expanding_a_single_arc_twice_is_structure():
+    inst, sol = tight_solution()
+    twice = dataclasses.replace(sol, expanded_arcs=sol.expanded_arcs * 2)
+    assert "structure" in families(verify(inst, twice))
 
 
 def test_violations_are_ordered_and_deduplicated():

@@ -3,7 +3,10 @@
 Each train gets route and dwell variables only on the time-expanded slots
 it can use on a walk from its origin, departing in its window, to its
 destination, arriving in its window (``expand``).  A walk never re-enters
-the origin and ends at its first arrival at the destination.  Row
+the origin and ends at its first arrival at the destination.  The slots
+depend only on the train's origin, destination and window, so ``build``
+expands each distinct (origin, destination, earliest departure, latest
+arrival) once and trains that share it share the slot list.  Row
 families, in emission order: capacity, departure, arrival, headway, flow
 conservation, connections, VIA.
 
@@ -188,15 +191,19 @@ def build(instance) -> ConstraintSystem:
     for ai in range(n_arcs):
         sys.add_var(VarMeaning("expand", arc_index=ai), name(f"b_{arc_tag[ai]}"))
     node_pos = {n.id: i for i, n in enumerate(net.nodes)}
-    runs, flows = {}, {}
+    # slots: (origin, destination, earliest departure, latest arrival) ->
+    # the sorted slot entries of the trains with that window
+    runs, flows, slots = {}, {}, {}
     for tid in sorted(trains):
         tr = trains[tid]
-        movements, dwells = expand(net, horizon, tr, instance.allow_dwell)
-        entries = [(t, 0, ai) for ai, t in movements]
-        entries += [(t, 1, node_pos[node]) for node, t in dwells]
+        key = (tr.origin, tr.destination, tr.earliest_departure, tr.latest_arrival)
+        if key not in slots:
+            movements, dwells = expand(net, horizon, tr, instance.allow_dwell)
+            slots[key] = sorted([(t, 0, ai) for ai, t in movements]
+                                + [(t, 1, node_pos[node]) for node, t in dwells])
         run = runs[tid] = {}
         flow = flows[tid] = defaultdict(list)
-        for (t, kind, idx) in sorted(entries):
+        for (t, kind, idx) in slots[key]:
             if kind == 0:
                 arc = net.arcs[idx]
                 vid = sys.add_var(VarMeaning("route", arc_index=idx, train=tid, t=t),

@@ -14,6 +14,11 @@ without importing ``scipy.optimize``; without that file the package import
 is the fallback.  Each solve builds one HiGHS LP, once, from the rows; a
 node only changes the column bounds to the engine's current fixings and
 re-runs, so dual simplex warm-starts from the previous node's basis.
+HiGHS runs with its presolve off.  ``milp.build`` has already left out
+every row the others imply, and on LPs this small HiGHS's presolve,
+postsolve and clean-up cost more than they save.  Only the cold solves
+change by this -- the root, and a node after ``clearSolver`` -- since HiGHS
+skips presolve when it starts from a valid basis anyway.
 The relaxation supplies the lower bound, the branching variable, and
 integral vertices as incumbent candidates.  Branching is design first: the
 most fractional free expansion variable when any is fractional, otherwise
@@ -146,6 +151,7 @@ def _lp_model(rows, nvars, cost):
     matrix.value_ = _np.array(val_of, dtype=float)
     model = _highs._Highs()
     model.setOptionValue("output_flag", False)
+    model.setOptionValue("presolve", "off")  # the rows come presolved
     model.passModel(lp)
     return model
 

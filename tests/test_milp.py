@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (LpParseError, line_instance, mk_network, mk_train,
-                     parse_lp, parsed_signature, random_walk_instance,
+from helpers import (LpParseError, corridor_instance, line_instance, mk_network,
+                     mk_train, parse_lp, parsed_signature, random_walk_instance,
                      system_signature, train_walks)
 from raildesign import milp, reduction
 from raildesign.model import (ConnectionRequirement, HeadwayTable, Instance,
-                              Scenario, Solution)
+                              Scenario, Solution, validate_instance)
 from raildesign.verify import verify
 
 DATA = Path(__file__).parent / "data"
@@ -71,6 +71,83 @@ def test_expand_keeps_exactly_the_slots_of_some_walk():
             assert dwells == {(s.frm, tau) for w in walks for prev, s in zip(w, w[1:])
                               for tau in range(prev.depart + travel[(prev.frm, prev.to)],
                                                s.depart)}
+
+
+WINDOW_FIELDS = ("origin", "destination", "earliest_departure", "latest_arrival")
+
+
+def shared_window_draws(n=150):
+    """``random_walk_instance`` networks whose 2-5 mandatory trains each copy
+    the first drawn train and redraw 0-2 of its window fields, so some trains
+    share all four and some share only part of them."""
+    rng = random.Random(15)
+    while n:
+        inst = random_walk_instance(rng)
+        names = [node.id for node in inst.network.nodes]
+        base = dataclasses.replace(inst.trains[0], optional=False, penalty=None,
+                                   via_nodes=())
+        trains = []
+        for k in range(rng.randint(2, 5)):
+            fields = {"origin": base.origin, "destination": base.destination,
+                      "earliest_departure": base.earliest_departure,
+                      "latest_arrival": base.latest_arrival}
+            for f in rng.sample(WINDOW_FIELDS, rng.randint(0, 2)):
+                if f in ("origin", "destination"):
+                    fields[f] = rng.choice(names)
+                elif f == "earliest_departure":
+                    fields[f] = rng.randint(0, 2)
+                else:
+                    fields[f] = rng.randint(fields["earliest_departure"] + 1, inst.horizon)
+            trains.append(dataclasses.replace(base, id=f"T{k}", **fields))
+        inst = dataclasses.replace(inst, trains=tuple(trains), connections=(),
+                                   scenarios=())
+        if validate_instance(inst).ok:
+            n -= 1
+            yield inst
+
+
+def test_trains_sharing_a_window_get_the_slots_of_their_own_expansion():
+    shared = {"all": 0, "part": 0}
+    for inst in shared_window_draws():
+        keys = [tuple(getattr(t, f) for f in WINDOW_FIELDS) for t in inst.trains]
+        for k1, k2 in itertools.combinations(keys, 2):
+            same = sum(a == b for a, b in zip(k1, k2))
+            shared["all"] += same == 4
+            shared["part"] += 0 < same < 4
+        system = milp.build(inst)
+        for train in inst.trains:
+            mine = [m for m in system.variables if m.train == train.id]
+            assert ({(m.arc_index, m.t) for m in mine if m.kind == "route"},
+                    {(m.node, m.t) for m in mine if m.kind == "dwell"}) == \
+                milp.expand(inst.network, inst.horizon, train, inst.allow_dwell)
+    assert all(shared.values()), shared
+
+
+def expanded_trains(monkeypatch, inst):
+    """The trains whose slots ``milp.build(inst)`` expands, in call order."""
+    calls = []
+    original = milp.expand
+
+    def counted(net, horizon, train, allow_dwell):
+        calls.append(train.id)
+        return original(net, horizon, train, allow_dwell)
+
+    monkeypatch.setattr(milp, "expand", counted)
+    milp.build(inst)
+    return calls
+
+
+def test_one_expansion_per_distinct_train_window(monkeypatch):
+    # x3c trains are 3q copies of one window; corridor trains with distinct
+    # departures each have their own
+    inst, _ = reduction.x3c_to_instance(reduction.gen_random_x3c(3, 5, 1))
+    assert len(inst.trains) == 9 and expanded_trains(monkeypatch, inst) == ["T00"]
+    corridor = corridor_instance(3, 4, 6)
+    corridor = dataclasses.replace(corridor, trains=tuple(
+        dataclasses.replace(t, earliest_departure=k, latest_arrival=k + 6)
+        for k, t in enumerate(corridor.trains)), horizon=11)
+    assert validate_instance(corridor).ok
+    assert expanded_trains(monkeypatch, corridor) == [t.id for t in corridor.trains]
 
 
 # -- build: variables and objective ------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.machinery
 import itertools
 import random
@@ -14,7 +15,7 @@ from helpers import (corridor_instance, enumerate_system, float_mip_objective,
                      run_fresh, two_arc_line, walk_oracle)
 from raildesign import milp, reduction, solver_bb
 from raildesign.milp import ConstraintSystem, LinearRow, VarMeaning
-from raildesign.model import Instance, RoutedStep, Solution
+from raildesign.model import Instance, RoutedStep, Scenario, Solution
 from raildesign.solver_bb import (DecodeError, SolveLimits, extract_solution,
                                   solve)
 from raildesign.verify import verify
@@ -108,9 +109,9 @@ def test_node_limit(bound_mode):
     assert res.status == "limit_reached"
 
 
-def x3c_system(q, subsets, seed):
+def x3c_system(q, subsets, seed, planted=True):
     inst, _threshold = reduction.x3c_to_instance(
-        reduction.gen_random_x3c(q, subsets, seed))
+        reduction.gen_random_x3c(q, subsets, seed, planted=planted))
     return milp.build(inst)
 
 
@@ -220,12 +221,30 @@ def test_no_rows(bound_mode):
     assert res.stats["lp_calls"] > 0
 
 
-@pytest.mark.parametrize("system", [
-    x3c_system(3, 8, 4),
-    milp.build(two_arc_line(3, 4, headway=1)),
-    no_row_system(),
-], ids=["x3c", "line", "no-rows"])
-def test_persistent_lp_matches_linprog(system):
+def scenario_corridor():
+    """``corridor_instance`` with one optional train and three overlapping
+    scenarios."""
+    inst = corridor_instance(5, 4, 8)
+    trains = list(inst.trains)
+    trains[3] = dataclasses.replace(trains[3], optional=True, penalty=Fraction(5))
+    ids = [t.id for t in trains]
+    return dataclasses.replace(inst, trains=tuple(trains), scenarios=(
+        Scenario("S1", tuple(ids[:6])), Scenario("S2", tuple(ids[2:])),
+        Scenario("S3", tuple(ids[::2]))))
+
+
+# The root LP is the one cold solve; HiGHS runs it without presolve, so an
+# infeasible root (the unplanted x3c systems) is found by dual simplex.
+@pytest.mark.parametrize("system, root", [
+    (x3c_system(3, 8, 4), 0),
+    (milp.build(two_arc_line(3, 4, headway=1)), 0),
+    (no_row_system(), 0),
+    (x3c_system(2, 3, 2, planted=False), 2),
+    (x3c_system(3, 4, 1, planted=False), 2),
+    (milp.build(scenario_corridor()), 0),
+], ids=["x3c", "line", "no-rows", "x3c-unplanted-2-3", "x3c-unplanted-3-4",
+        "scenario-corridor"])
+def test_persistent_lp_matches_linprog(system, root):
     n = len(system.variables)
     cost = np.zeros(n)
     for v, c in system.objective:
@@ -247,31 +266,38 @@ def test_persistent_lp_matches_linprog(system):
 
     constraints = ([optimize.LinearConstraint(A_ub, -np.inf, b_ub)] if ub_rows else []) \
         + ([optimize.LinearConstraint(A_eq, b_eq, b_eq)] if eq_rows else [])
-    # a 0-1 point from HiGHS MIP: fixings taken from it stay feasible
-    feasible = np.round(optimize.milp(cost, integrality=np.ones(n), constraints=constraints,
-                                      bounds=optimize.Bounds(0, 1)).x)
+    # a 0-1 point from HiGHS MIP, if there is one: fixings taken from it stay
+    # feasible
+    point = optimize.milp(cost, integrality=np.ones(n), constraints=constraints,
+                          bounds=optimize.Bounds(0, 1)).x
     model = solver_bb._lp_model(system.rows, n, cost)
+
+    def agree(lb, ub):
+        got = solver_bb._linprog(model, lb, ub)
+        want = optimize.linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                bounds=np.column_stack([lb, ub]), method="highs")
+        assert got.status == want.status
+        if want.status == 0:
+            assert abs(got.fun - want.fun) <= 1e-7 * (1 + abs(want.fun))
+        return want.status
+
+    statuses = [agree(np.zeros(n), np.ones(n))]  # the root, the one cold solve
     rng = random.Random(11)
-    statuses = []
     for step in range(24):
         lb, ub = np.zeros(n), np.ones(n)
         for v in range(n):
             if rng.random() < 0.3:
                 # even steps follow the feasible point, odd ones fix at random
-                val = feasible[v] if step % 2 == 0 else rng.randint(0, 1)
+                val = point[v].round() if step % 2 == 0 and point is not None \
+                    else rng.randint(0, 1)
                 lb[v] = ub[v] = val
-        got = solver_bb._linprog(model, lb, ub)
-        want = optimize.linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                                bounds=np.column_stack([lb, ub]), method="highs")
-        status, fun = want.status, want.fun
-        assert got.status == status
-        if status == 0:
-            assert abs(got.fun - fun) <= 1e-7 * (1 + abs(fun))
-        statuses.append(status)
-    assert statuses[0] == 0
-    if system.rows:
-        # warm starts right after an infeasible LP were exercised
-        assert any(a == 2 and b == 0 for a, b in zip(statuses, statuses[1:]))
+        statuses.append(agree(lb, ub))
+    assert statuses[0] == root and (root == 2) == (point is None)
+    if root == 0:
+        assert statuses[1] == 0  # fixings from the feasible point
+        if system.rows:
+            # warm starts right after an infeasible LP were exercised
+            assert any(a == 2 and b == 0 for a, b in zip(statuses, statuses[1:]))
 
 
 def test_highs_loads_without_scipy_optimize():

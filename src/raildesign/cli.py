@@ -16,13 +16,13 @@ EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
 
 
-def _load_validated(path, allow_multi_arcs=False):
+def _load_validated(path):
     try:
         inst = load_instance(path)
     except (InstanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    report = validate_instance(inst, allow_multi_arcs=allow_multi_arcs)
+    report = validate_instance(inst)
     if not report.ok:
         for issue in report.errors:
             print(f"error: {issue.code}: {issue.message} ({issue.location})",
@@ -59,8 +59,7 @@ def _solve_with_mode(inst, mode, limits):
 def cmd_solve(args):
     from . import solver_bb  # NumPy and HiGHS load only for a solve
 
-    # only the series-parallel solver takes multi-arcs
-    inst = _load_validated(args.instance, allow_multi_arcs=args.mode == "sp")
+    inst = _load_validated(args.instance)
     if inst is None:
         return EXIT_INPUT
     limits = solver_bb.SolveLimits(time_limit=args.time_limit,
@@ -86,16 +85,14 @@ def cmd_solve(args):
     # what the search knows when it stops; a non-optimal result writes no file
     print("status: limit_reached")
     print(f"nodes: {result.stats['nodes']}")
-    if result.bound is not None:
-        print(f"bound: {cost_to_json(result.bound)}")
+    print(f"bound: {cost_to_json(result.bound)}")
     if result.objective is not None:
         print(f"objective: {cost_to_json(result.objective)}")
     return EXIT_LIMIT
 
 
 def cmd_verify(args):
-    # verify itself reports a multi-arc outside the scope it can check
-    inst = _load_validated(args.instance, allow_multi_arcs=True)
+    inst = _load_validated(args.instance)
     if inst is None:
         return EXIT_INPUT
     try:
@@ -181,7 +178,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except milp.BuildError as exc:  # a valid instance that the full model does not take
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

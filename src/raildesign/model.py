@@ -8,6 +8,7 @@ headways are plain integers.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -135,7 +136,7 @@ class ValidationReport:
         return not self.errors
 
 
-def validate_instance(inst: Instance, allow_multi_arcs: bool = False) -> ValidationReport:
+def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions."""
     errors = []
 
@@ -167,8 +168,6 @@ def validate_instance(inst: Instance, allow_multi_arcs: bool = False) -> Validat
             err("ARC_COST", "expansion_cost must be non-negative", loc)
         if a.multiplicity < 1:
             err("ARC_MULTIPLICITY", "multiplicity must be >= 1", loc)
-        elif a.multiplicity > 1 and not allow_multi_arcs:
-            err("ARC_MULTIPLICITY", "multiplicity > 1 only supported by the SP solver", loc)
 
     by_id = {t.id: t for t in inst.trains}
     for (frm, to, v1, v2), m in net.headways.entries.items():
@@ -267,9 +266,86 @@ def effective_scenarios(inst: Instance) -> list:
 
 # ---------------------------------------------------------------------------
 # JSON I/O
+#
+# Each record type is one table of fields in written order.  A field names
+# its JSON key; a reader ``(value, where, key)`` that raises
+# ``InstanceError`` located at ``where``; a writer of the value, or None to
+# write it as it is; a default; and the attribute it fills, named like the
+# key unless given, or ``_FLAT`` for a nested object whose fields are
+# attributes of the record itself.  A field without a default is required,
+# and one at its default is left out when written.  A value that is the
+# default itself, such as a null where the default is None, is taken as it is.
 
 
-def _cost_from_json(value, where):
+def cost_to_json(value: Fraction):
+    if value.denominator == 1:
+        return int(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
+_REQUIRED, _FLAT = object(), object()
+_Field = namedtuple("_Field", "key read write default attr", defaults=(None, _REQUIRED, None))
+
+
+class _Table:
+    """A record's fields as ``_read`` and ``_write`` use them, the type
+    ``_read`` makes of them, and its key sets."""
+
+    def __init__(self, make, *fields):
+        self.make = make
+        self.reads = tuple((f.key, f.read, f.default, f.attr or f.key) for f in fields)
+        self.writes = tuple((f.key, f.write, f.default, f.attr or f.key) for f in fields)
+        self.keys = frozenset(f.key for f in fields)
+        self.required = frozenset(f.key for f in fields if f.default is _REQUIRED)
+
+
+def _read(obj, table, where):
+    if not isinstance(obj, dict):
+        raise InstanceError(f"{where}: expected an object, got {obj!r}")
+    keys = obj.keys()
+    if not keys <= table.keys:
+        raise InstanceError(f"{where}: unknown keys {sorted(keys - table.keys)}")
+    if not keys >= table.required:
+        raise InstanceError(f"{where}: missing keys {sorted(table.required - keys)}")
+    values = {}
+    for key, read, default, attr in table.reads:
+        value = obj.get(key, default)
+        values[attr] = value if value is default else read(value, where, key)
+    if _FLAT in values:
+        values.update(values.pop(_FLAT))
+    return table.make(**values)
+
+
+def _write(record, table):
+    out = {}
+    for key, write, default, attr in table.writes:
+        value = record if attr is _FLAT else getattr(record, attr)
+        if default is _REQUIRED or value != default:
+            out[key] = value if write is None else write(value)
+    return out
+
+
+def _typed(kind, noun):
+    """Reader of a value of type ``kind``; a boolean is not an integer."""
+    def read(value, where, key):
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise InstanceError(f"{where}: {key} must be {noun}, got {value!r}")
+        return value
+    return read
+
+
+_int = _typed(int, "an integer")
+_str = _typed(str, "a string")
+_bool = _typed(bool, "true or false")
+_list = _typed(list, "a list")
+
+
+def _strings(value, where, key):
+    return tuple(_str(item, where, f"{key}[{i}]")
+                 for i, item in enumerate(_list(value, where, key)))
+
+
+def _cost(value, where, key):
     if isinstance(value, bool):
         raise InstanceError(f"{where}: expected a number, got a boolean")
     if isinstance(value, int):
@@ -282,214 +358,120 @@ def _cost_from_json(value, where):
     raise InstanceError(f"{where}: costs must be integers or 'p/q' strings, got {value!r}")
 
 
-def cost_to_json(value: Fraction):
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+def _total(value, where, key):
+    """A solution's cost, located at its own key."""
+    return _cost(value, key, key)
 
 
-def _require_keys(obj, allowed, required, where):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise InstanceError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(obj)
-    if missing:
-        raise InstanceError(f"{where}: missing keys {sorted(missing)}")
+def _list_of(table):
+    """Reader of a list of ``table`` records; item i is located at ``key[i]``."""
+    return lambda value, where, key: tuple(_read(item, table, f"{key}[{i}]")
+                                           for i, item in enumerate(_list(value, where, key)))
 
 
-def _int(obj, key, where):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise InstanceError(f"{where}: {key} must be an integer, got {v!r}")
-    return v
+_Headway = namedtuple("_Headway", "frm to v1 v2 m")  # one HeadwayTable entry
+
+_NODE = _Table(Node, _Field("id", _str), _Field("display_name", _str, default=None))
+_ARC = _Table(Arc,
+              _Field("from", _str, attr="frm"), _Field("to", _str),
+              _Field("travel_time", _int),
+              _Field("capacity", _int), _Field("expandable_capacity", _int),
+              _Field("expansion_cost", _cost, cost_to_json),
+              _Field("multiplicity", _int, default=1))
+_HEADWAY = _Table(_Headway,
+                  _Field("from", _str, attr="frm"), _Field("to", _str),
+                  _Field("v1", _str), _Field("v2", _str), _Field("M", _int, attr="m"))
+_TRAIN = _Table(TrainRequest,
+                _Field("id", _str),
+                _Field("origin", _str), _Field("destination", _str),
+                _Field("earliest_departure", _int), _Field("latest_arrival", _int),
+                _Field("optional", _bool, default=False),
+                _Field("penalty", _cost, cost_to_json, default=None),
+                _Field("via_nodes", _strings, list, default=()))
+_CONNECTION = _Table(ConnectionRequirement,
+                     _Field("station", _str), _Field("feeder", _str), _Field("connecting", _str))
+_SCENARIO = _Table(Scenario, _Field("id", _str), _Field("train_ids", _strings, list))
+# written by instance_to_dict, which keeps even the defaults of this level
+_INSTANCE = _Table(dict,
+                   _Field("nodes", _list_of(_NODE)), _Field("arcs", _list_of(_ARC)),
+                   _Field("trains", _list_of(_TRAIN)),
+                   _Field("connections", _list_of(_CONNECTION), default=()),
+                   _Field("scenarios", _list_of(_SCENARIO), default=()),
+                   _Field("horizon", _int), _Field("capacity_window", _int),
+                   _Field("headway_default", _int, default=0),
+                   _Field("headways", _list_of(_HEADWAY), default=()),
+                   _Field("allow_dwell", _bool, default=True))
 
 
-def _str(obj, key, where):
-    v = obj[key]
-    if not isinstance(v, str):
-        raise InstanceError(f"{where}: {key} must be a string, got {v!r}")
-    return v
+def _arc_pairs(value, where, key):
+    for i, pair in enumerate(_list(value, where, key)):
+        if (not isinstance(pair, list) or len(pair) != 2
+                or not all(isinstance(end, str) for end in pair)):
+            raise InstanceError(f"{key}[{i}]: expected [from, to] node names, got {pair!r}")
+    return tuple(tuple(pair) for pair in value)
 
 
-def _list(obj, key, where):
-    v = obj.get(key, [])
-    if not isinstance(v, list):
-        raise InstanceError(f"{where}: {key} must be a list, got {v!r}")
-    return v
+_STEP = _Table(dict, _Field("from", _str, attr="frm"), _Field("to", _str), _Field("depart", _int))
 
 
-def _strings(obj, key, where):
-    items = _list(obj, key, where)
-    for i, item in enumerate(items):
-        if not isinstance(item, str):
-            raise InstanceError(f"{where}: {key}[{i}] must be a string, got {item!r}")
-    return tuple(items)
-
-
-def _object(value, where):
+def _routes(value, where, key):
     if not isinstance(value, dict):
-        raise InstanceError(f"{where}: expected an object, got {value!r}")
-    return value
+        raise InstanceError(f"{key}: expected an object, got {value!r}")
+    return {train: tuple(RoutedStep(train=train, **_read(step, _STEP, f"{key}[{train}][{i}]"))
+                         for i, step in enumerate(_list(steps, key, train)))
+            for train, steps in value.items()}
 
 
-def _objects(data, key):
-    items = _list(data, key, "instance")
-    for i, item in enumerate(items):
-        _object(item, f"{key}[{i}]")
-    return items
-
-
-def _bool(obj, key, where, default):
-    v = obj.get(key, default)
-    if not isinstance(v, bool):
-        raise InstanceError(f"{where}: {key} must be true or false, got {v!r}")
-    return v
+_COST_BREAKDOWN = _Table(dict, _Field("expansion_cost_total", _total, cost_to_json),
+                         _Field("penalty_total", _total, cost_to_json))
+_SOLUTION = _Table(Solution,
+                   _Field("expanded_arcs", _arc_pairs, lambda arcs: [list(arc) for arc in arcs]),
+                   _Field("routes", _routes,
+                          lambda routes: {train: [_write(step, _STEP) for step in steps]
+                                          for train, steps in sorted(routes.items())}),
+                   _Field("objective_value", _total, cost_to_json),
+                   _Field("cost_breakdown",
+                          lambda value, where, key: _read(value, _COST_BREAKDOWN, key),
+                          lambda sol: _write(sol, _COST_BREAKDOWN), attr=_FLAT))
 
 
 def instance_from_dict(data: dict) -> Instance:
-    _require_keys(
-        data,
-        allowed=[
-            "nodes", "arcs", "trains", "connections", "scenarios",
-            "horizon", "capacity_window", "headway_default", "headways",
-            "allow_dwell",
-        ],
-        required=["nodes", "arcs", "trains", "horizon", "capacity_window"],
-        where="instance",
-    )
-    nodes = []
-    for i, n in enumerate(_objects(data, "nodes")):
-        where = f"nodes[{i}]"
-        _require_keys(n, ["id", "display_name"], ["id"], where)
-        display_name = (_str(n, "display_name", where)
-                        if n.get("display_name") is not None else None)
-        nodes.append(Node(id=_str(n, "id", where), display_name=display_name))
-    arcs = []
-    for i, a in enumerate(_objects(data, "arcs")):
-        where = f"arcs[{i}]"
-        _require_keys(
-            a,
-            ["from", "to", "travel_time", "capacity", "expandable_capacity",
-             "expansion_cost", "multiplicity"],
-            ["from", "to", "travel_time", "capacity", "expandable_capacity",
-             "expansion_cost"],
-            where,
-        )
-        arcs.append(Arc(
-            frm=_str(a, "from", where),
-            to=_str(a, "to", where),
-            travel_time=_int(a, "travel_time", where),
-            capacity=_int(a, "capacity", where),
-            expandable_capacity=_int(a, "expandable_capacity", where),
-            expansion_cost=_cost_from_json(a["expansion_cost"], where),
-            multiplicity=_int(a, "multiplicity", where) if "multiplicity" in a else 1,
-        ))
-    entries = {}
-    for i, h in enumerate(_objects(data, "headways")):
-        where = f"headways[{i}]"
-        _require_keys(h, ["from", "to", "v1", "v2", "M"], ["from", "to", "v1", "v2", "M"], where)
-        key = tuple(_str(h, k, where) for k in ("from", "to", "v1", "v2"))
-        entries[key] = _int(h, "M", where)
-    default = _int(data, "headway_default", "instance") if "headway_default" in data else 0
-    headways = HeadwayTable(entries=entries, default=default)
-    trains = []
-    for i, t in enumerate(_objects(data, "trains")):
-        where = f"trains[{i}]"
-        _require_keys(
-            t,
-            ["id", "origin", "destination", "earliest_departure", "latest_arrival",
-             "optional", "penalty", "via_nodes"],
-            ["id", "origin", "destination", "earliest_departure", "latest_arrival"],
-            where,
-        )
-        trains.append(TrainRequest(
-            id=_str(t, "id", where),
-            origin=_str(t, "origin", where),
-            destination=_str(t, "destination", where),
-            earliest_departure=_int(t, "earliest_departure", where),
-            latest_arrival=_int(t, "latest_arrival", where),
-            optional=_bool(t, "optional", where, False),
-            penalty=_cost_from_json(t["penalty"], where) if t.get("penalty") is not None else None,
-            via_nodes=_strings(t, "via_nodes", where),
-        ))
-    connections = []
-    for i, c in enumerate(_objects(data, "connections")):
-        where = f"connections[{i}]"
-        _require_keys(c, ["station", "feeder", "connecting"], ["station", "feeder", "connecting"], where)
-        connections.append(ConnectionRequirement(station=_str(c, "station", where),
-                                                 feeder=_str(c, "feeder", where),
-                                                 connecting=_str(c, "connecting", where)))
-    scenarios = []
-    for i, s in enumerate(_objects(data, "scenarios")):
-        where = f"scenarios[{i}]"
-        _require_keys(s, ["id", "train_ids"], ["id", "train_ids"], where)
-        scenarios.append(Scenario(id=_str(s, "id", where),
-                                  train_ids=_strings(s, "train_ids", where)))
-    return Instance(
-        network=Network(nodes=tuple(nodes), arcs=tuple(arcs), headways=headways),
-        horizon=_int(data, "horizon", "instance"),
-        trains=tuple(trains),
-        connections=tuple(connections),
-        scenarios=tuple(scenarios),
-        capacity_window=_int(data, "capacity_window", "instance"),
-        allow_dwell=_bool(data, "allow_dwell", "instance", True),
-    )
+    top = _read(data, _INSTANCE, "instance")
+    headways = HeadwayTable(entries={h[:4]: h.m for h in top.pop("headways")},
+                            default=top.pop("headway_default"))
+    network = Network(nodes=top.pop("nodes"), arcs=top.pop("arcs"), headways=headways)
+    return Instance(network=network, **top)
 
 
 def instance_to_dict(inst: Instance) -> dict:
+    net = inst.network
     data = {
-        "nodes": [
-            {"id": n.id, **({"display_name": n.display_name} if n.display_name else {})}
-            for n in inst.network.nodes
-        ],
-        "arcs": [
-            {
-                "from": a.frm,
-                "to": a.to,
-                "travel_time": a.travel_time,
-                "capacity": a.capacity,
-                "expandable_capacity": a.expandable_capacity,
-                "expansion_cost": cost_to_json(a.expansion_cost),
-                **({"multiplicity": a.multiplicity} if a.multiplicity != 1 else {}),
-            }
-            for a in inst.network.arcs
-        ],
-        "trains": [
-            {
-                "id": t.id,
-                "origin": t.origin,
-                "destination": t.destination,
-                "earliest_departure": t.earliest_departure,
-                "latest_arrival": t.latest_arrival,
-                **({"optional": True, "penalty": cost_to_json(t.penalty)} if t.optional else {}),
-                **({"via_nodes": list(t.via_nodes)} if t.via_nodes else {}),
-            }
-            for t in inst.trains
-        ],
-        "connections": [
-            {"station": c.station, "feeder": c.feeder, "connecting": c.connecting}
-            for c in inst.connections
-        ],
-        "scenarios": [{"id": s.id, "train_ids": list(s.train_ids)} for s in inst.scenarios],
+        "nodes": [_write(n, _NODE) for n in net.nodes],
+        "arcs": [_write(a, _ARC) for a in net.arcs],
+        "trains": [_write(t, _TRAIN) for t in inst.trains],
+        "connections": [_write(c, _CONNECTION) for c in inst.connections],
+        "scenarios": [_write(s, _SCENARIO) for s in inst.scenarios],
         "horizon": inst.horizon,
         "capacity_window": inst.capacity_window,
-        "headway_default": inst.network.headways.default,
-        "headways": [
-            {"from": k[0], "to": k[1], "v1": k[2], "v2": k[3], "M": m}
-            for k, m in sorted(inst.network.headways.entries.items())
-        ],
+        "headway_default": net.headways.default,
+        "headways": [_write(_Headway(*k, m), _HEADWAY)
+                     for k, m in sorted(net.headways.entries.items())],
     }
     if not inst.allow_dwell:
         data["allow_dwell"] = False
     return data
 
 
-def load_instance(path) -> Instance:
+def _load_json(path):
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def load_instance(path) -> Instance:
+    data = _load_json(path)
     if not isinstance(data, dict):
         raise InstanceError(f"{path}: top level must be an object")
     return instance_from_dict(data)
@@ -502,63 +484,15 @@ def save_instance(inst: Instance, path):
 
 
 def solution_to_dict(sol: Solution) -> dict:
-    return {
-        "expanded_arcs": [[f, t] for f, t in sol.expanded_arcs],
-        "routes": {
-            train: [{"from": s.frm, "to": s.to, "depart": s.depart} for s in steps]
-            for train, steps in sorted(sol.routes.items())
-        },
-        "objective_value": cost_to_json(sol.objective_value),
-        "cost_breakdown": {
-            "expansion_cost_total": cost_to_json(sol.expansion_cost_total),
-            "penalty_total": cost_to_json(sol.penalty_total),
-        },
-    }
+    return _write(sol, _SOLUTION)
 
 
 def solution_from_dict(data: dict) -> Solution:
-    _object(data, "solution")
-    _require_keys(data, ["expanded_arcs", "routes", "objective_value", "cost_breakdown"],
-                  ["expanded_arcs", "routes", "objective_value", "cost_breakdown"], "solution")
-    _require_keys(_object(data["cost_breakdown"], "cost_breakdown"),
-                  ["expansion_cost_total", "penalty_total"],
-                  ["expansion_cost_total", "penalty_total"], "cost_breakdown")
-    routes = {}
-    for train in _object(data["routes"], "routes"):
-        decoded = []
-        for i, s in enumerate(_list(data["routes"], train, "routes")):
-            where = f"routes[{train}][{i}]"
-            _require_keys(_object(s, where), ["from", "to", "depart"],
-                          ["from", "to", "depart"], where)
-            decoded.append(RoutedStep(train=train, frm=_str(s, "from", where),
-                                      to=_str(s, "to", where),
-                                      depart=_int(s, "depart", where)))
-        routes[train] = tuple(decoded)
-    expanded = []
-    for i, pair in enumerate(_list(data, "expanded_arcs", "solution")):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(end, str) for end in pair)):
-            raise InstanceError(f"expanded_arcs[{i}]: expected [from, to] node names, "
-                                f"got {pair!r}")
-        expanded.append(tuple(pair))
-    return Solution(
-        expanded_arcs=tuple(expanded),
-        routes=routes,
-        objective_value=_cost_from_json(data["objective_value"], "objective_value"),
-        expansion_cost_total=_cost_from_json(
-            data["cost_breakdown"]["expansion_cost_total"], "expansion_cost_total"),
-        penalty_total=_cost_from_json(
-            data["cost_breakdown"]["penalty_total"], "penalty_total"),
-    )
+    return _read(data, _SOLUTION, "solution")
 
 
 def load_solution(path) -> Solution:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceError(f"{path}: not valid JSON: {exc}") from exc
-    return solution_from_dict(data)
+    return solution_from_dict(_load_json(path))
 
 
 def save_solution(sol: Solution, path):

@@ -7,6 +7,8 @@ origin, destination and departure for all trains, window = horizon, at most
 one scenario, and every source-to-sink path within the time allowed.  Then
 a train chooses only its path, and the number of trains on each arc alone
 decides the cost.
+Only the series-parallel solver takes an arc of multiplicity above 1, as
+that many parallel copies; the arborescence solver declines one.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ def solve_arborescence(instance) -> Solution | None:
     """
     net = instance.network
     _require(is_arborescence(net) is not None, "network is not an arborescence")
+    _require(all(a.multiplicity == 1 for a in net.arcs), "multi-arcs are not supported here")
     _require(not instance.allow_dwell, "dwell must be disabled for the arborescence solver")
     _require(_no_headways(instance), "nontrivial headways are not supported here")
     _require(all(not t.optional for t in instance.trains),

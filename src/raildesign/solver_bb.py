@@ -28,10 +28,10 @@ the routes is left to decide.
 Candidates and bounds are always re-validated exactly -- the float LP only
 guides pruning, never certifies feasibility or the final objective.  Only
 an LP proven infeasible prunes.  When HiGHS returns no optimum (a time-out
-or numeric trouble), the node drops the basis, takes the trivial bound --
-the exact rational sum of fixed costs plus all still-collectable negative
-objective coefficients, weak but admissible -- and branches on its first
-free variable.
+or numeric trouble), the node drops the basis, takes the larger of its
+parent's bound and the trivial bound -- the exact rational sum of fixed
+costs plus all still-collectable negative objective coefficients, weak but
+admissible -- and branches on its first free variable.
 
 A node is pruned only when its bound reaches the incumbent, so ``optimal``
 reports a bound equal to the objective.  The model lets each train depart
@@ -96,7 +96,7 @@ class SolveResult:
     status: str  # optimal | infeasible | limit_reached
     incumbent: dict | None
     objective: Fraction | None
-    bound: Fraction | None
+    bound: Fraction | None  # None only when infeasible
     stats: dict = field(default_factory=dict)
     system: object = None
 
@@ -252,10 +252,10 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     lp = _lp_model(system.rows, nvars, c_vec)
     design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
 
-    # Open children as (parent's trail mark, variable, value, parent's
-    # bound); the root fixes nothing.  Every processed node runs one LP.
+    # Open children as (parent's trail mark, variable, value, parent's bound);
+    # the root fixes nothing and has the trivial bound.  Each node runs one LP.
     nodes = 0
-    stack = [(engine.mark(), None, None, None)]
+    stack = [(engine.mark(), None, None, trivial_bound())]
     while stack:
         mark, var, val, parent_bound = stack.pop()
         engine.backtrack(mark)
@@ -276,9 +276,9 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         if res.status == 2:
             continue
         # Without an LP optimum (a time-out or numeric trouble) the trivial
-        # bound stands alone.  The LP's is floored conservatively, as
-        # attainable objectives are multiples of 1/obj_den.
-        node_bound = trivial_bound()
+        # bound and the parent's stand alone.  The LP's is floored
+        # conservatively, as attainable objectives are multiples of 1/obj_den.
+        node_bound = max(trivial_bound(), parent_bound)
         if res.status == 0:
             scaled = res.fun * obj_den
             eps = 1e-6 * (1.0 + abs(scaled))
@@ -314,11 +314,11 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     if stack:
         # only a limit leaves children open; every unexplored node lies
         # below one of them
-        bounds = [b for *_, b in stack if b is not None]
+        bounds = [b for *_, b in stack]
         if incumbent is not None:
             bounds.append(incumbent_obj)
         return SolveResult("limit_reached", incumbent, incumbent_obj,
-                           min(bounds, default=None), stats, system)
+                           min(bounds), stats, system)
     if incumbent is None:
         return SolveResult("infeasible", None, None, None, stats, system)
     return SolveResult("optimal", incumbent, incumbent_obj, incumbent_obj, stats, system)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -128,18 +129,25 @@ def test_explicit_mode_mismatch(tmp_path, capsys):
 
 
 def test_sp_mode_takes_multi_arcs(tmp_path, capsys):
-    # two copies of s->t carry both trains at once; only the SP solver
-    # supports multi-arcs, and auto mode falls through to the MILP
+    # two copies of s->t carry both trains at once; the arborescence solver
+    # declines a multi-arc, so auto mode answers through the SP solver too
     net = mk_network([("s", "t", 1, 1, 0, 0, 2)])
     inst = Instance(network=net, horizon=1, capacity_window=1, allow_dwell=False,
                     trains=(mk_train("T0", "s", "t", 0, 1), mk_train("T1", "s", "t", 0, 1)))
     path = write(tmp_path, inst)
     out = tmp_path / "sol.json"
-    assert cli.main(["solve", path, "--mode", "sp", "-o", str(out)]) == 0
-    assert "objective: 0" in capsys.readouterr().out
-    assert set(load_solution(out).routes) == {"T0", "T1"}
-    assert cli.main(["solve", path, "--mode", "auto"]) == 1
-    assert "ARC_MULTIPLICITY" in capsys.readouterr().err
+    for mode in ("sp", "auto"):
+        assert cli.main(["solve", path, "--mode", mode, "-o", str(out)]) == 0
+        assert "objective: 0" in capsys.readouterr().out
+        assert set(load_solution(out).routes) == {"T0", "T1"}
+    # with dwell on the SP solver declines as well, and the full model takes
+    # no multi-arc: both commands that build it say so
+    dwell = write(tmp_path, dataclasses.replace(inst, allow_dwell=True), "dwell.json")
+    message = "multi-arc instances are only supported by the SP solver\n"
+    assert cli.main(["solve", dwell]) == 1
+    assert capsys.readouterr().err == "error: " + message
+    assert cli.main(["export-lp", dwell]) == 1
+    assert capsys.readouterr().err == "error: " + message
 
 
 def test_sp_multi_arc_solution_verifies(tmp_path, capsys):

@@ -1,16 +1,24 @@
+import dataclasses
 import json
+import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import line_instance, mk_network, mk_train, rich_instance
+from helpers import (line_instance, mk_network, mk_train, random_walk_instance,
+                     rich_instance)
 from raildesign.model import (Arc, ConnectionRequirement, HeadwayTable, Instance,
                               InstanceError, Network, Node, RoutedStep, Scenario,
                               Solution, TrainRequest, cost_to_json,
                               effective_scenarios, instance_from_dict,
-                              instance_to_dict, load_instance, save_instance,
-                              solution_from_dict, solution_to_dict,
-                              validate_instance)
+                              instance_to_dict, load_instance, load_solution,
+                              save_instance, save_solution, solution_from_dict,
+                              solution_to_dict, validate_instance)
+from raildesign.verify import verify
+
+DATA = Path(__file__).parent / "data"
 
 
 def codes(report):
@@ -122,12 +130,14 @@ def test_scenario_coverage():
     assert codes(validate_instance(twice)) == {"SCENARIO_DUP"}
 
 
-def test_multiplicity_needs_opt_in():
+def test_multiplicity_below_one_rejected():
+    # a multi-arc is valid input; each solver decides whether it takes one
     net = mk_network([("A", "B", 1, 1, 0, 0, 2)])
     inst = Instance(network=net, horizon=1,
                     trains=(mk_train("T", "A", "B", 0, 1),), capacity_window=1)
-    assert "ARC_MULTIPLICITY" in codes(validate_instance(inst))
-    assert validate_instance(inst, allow_multi_arcs=True).ok
+    assert validate_instance(inst).ok
+    zero = dataclasses.replace(inst, network=mk_network([("A", "B", 1, 1, 0, 0, 0)]))
+    assert codes(validate_instance(zero)) == {"ARC_MULTIPLICITY"}
 
 
 def test_validation_is_idempotent():
@@ -174,6 +184,75 @@ def test_instance_round_trip(tmp_path):
     assert load_instance(path) == inst
     # and the dict form is plain JSON
     json.dumps(instance_to_dict(inst))
+
+
+def test_writers_reproduce_the_pinned_files(tmp_path):
+    # both files were written by the writers that preceded the field tables
+    save_instance(rich_instance(), tmp_path / "inst.json")
+    assert (tmp_path / "inst.json").read_bytes() == (DATA / "rich_instance.json").read_bytes()
+    sol = load_solution(DATA / "rich_solution.json")
+    assert verify(rich_instance(), sol) == []
+    save_solution(sol, tmp_path / "sol.json")
+    assert (tmp_path / "sol.json").read_bytes() == (DATA / "rich_solution.json").read_bytes()
+
+
+def test_round_trip_on_random_instances():
+    rng = random.Random(16)
+    for _ in range(100):
+        inst = random_walk_instance(rng)
+        assert instance_from_dict(json.loads(json.dumps(instance_to_dict(inst)))) == inst
+
+
+# Each record of the rich instance and its solution: where it sits in the
+# dict, the location its errors name, and its required keys.
+RECORDS = [
+    ("instance", (), "instance",
+     ["nodes", "arcs", "trains", "horizon", "capacity_window"]),
+    ("instance", ("nodes", 0), "nodes[0]", ["id"]),
+    ("instance", ("arcs", 0), "arcs[0]",
+     ["from", "to", "travel_time", "capacity", "expandable_capacity", "expansion_cost"]),
+    ("instance", ("headways", 0), "headways[0]", ["from", "to", "v1", "v2", "M"]),
+    ("instance", ("trains", 0), "trains[0]",
+     ["id", "origin", "destination", "earliest_departure", "latest_arrival"]),
+    ("instance", ("connections", 0), "connections[0]", ["station", "feeder", "connecting"]),
+    ("instance", ("scenarios", 0), "scenarios[0]", ["id", "train_ids"]),
+    ("solution", (), "solution", ["expanded_arcs", "routes", "objective_value",
+                                  "cost_breakdown"]),
+    ("solution", ("routes", "T1", 0), "routes[T1][0]", ["from", "to", "depart"]),
+    ("solution", ("cost_breakdown",), "cost_breakdown",
+     ["expansion_cost_total", "penalty_total"]),
+]
+
+
+@pytest.mark.parametrize("kind, path, where, required", RECORDS,
+                         ids=[r[2] for r in RECORDS])
+def test_key_checks_per_record(kind, path, where, required):
+    read = instance_from_dict if kind == "instance" else solution_from_dict
+
+    def fresh():
+        """A new dict of the record's kind, and the record in it."""
+        data = (instance_to_dict(rich_instance()) if kind == "instance"
+                else json.loads((DATA / "rich_solution.json").read_text()))
+        record = data
+        for step in path:
+            record = record[step]
+        return data, record
+
+    _, written = fresh()
+    assert set(required) <= set(written)
+    for key in written:
+        data, record = fresh()
+        del record[key]
+        if key in required:
+            with pytest.raises(InstanceError,
+                               match=re.escape(f"{where}: missing keys [{key!r}]")):
+                read(data)
+        else:
+            read(data)
+    data, record = fresh()
+    record["extra"] = 1
+    with pytest.raises(InstanceError, match=re.escape(f"{where}: unknown keys ['extra']")):
+        read(data)
 
 
 def test_instance_unknown_keys_rejected():

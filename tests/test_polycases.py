@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,7 @@ from helpers import (mk_network, mk_train, random_arborescence_instance,
                      random_sp_instance)
 from raildesign import milp, polycases, solver_bb
 from raildesign.model import (ConnectionRequirement, Instance, Scenario,
-                              validate_instance)
+                              load_instance, validate_instance)
 from raildesign.polycases import (INF, UnsupportedInstance, is_arborescence,
                                   solve_arborescence, solve_series_parallel,
                                   sp_cost_base, sp_cost_table, sp_decompose,
@@ -88,6 +89,16 @@ def test_arborescence_rejects_unsupported_shapes():
         solve_arborescence(Instance(network=cyc, horizon=1,
                                     trains=(mk_train("T", "A", "B", 0, 1),),
                                     capacity_window=1, allow_dwell=False))
+
+
+def test_arborescence_declines_multi_arcs():
+    # s->t twice is an arborescence by its arcs, but one copy of s->t cannot
+    # carry both trains, so without the decline auto mode would report
+    # "infeasible" for a file whose optimum is 8
+    inst = load_instance(Path(__file__).parent / "data" / "sp_multi_arc.json")
+    with pytest.raises(UnsupportedInstance, match="multi-arcs"):
+        solve_arborescence(inst)
+    assert solve_series_parallel(inst).objective_value == 8
 
 
 def test_arborescence_respects_connections_and_via():
@@ -300,7 +311,7 @@ def test_sp_multi_arc_solutions_match_brute_force_and_verify():
         arcs = tuple(dataclasses.replace(a, multiplicity=rng.choice((1, 2, 3)))
                      for a in inst.network.arcs)
         inst = dataclasses.replace(inst, network=dataclasses.replace(inst.network, arcs=arcs))
-        assert validate_instance(inst, allow_multi_arcs=True).ok
+        assert validate_instance(inst).ok
         sol = solve_series_parallel(inst)
         want = sp_brute_force(sp_decompose(inst.network), len(inst.trains), inst.horizon)
         assert (INF if sol is None else sol.objective_value) == want

@@ -147,6 +147,25 @@ def test_time_limit_overruns_by_at_most_one_lp(monkeypatch):
     assert res.bound is not None and res.bound <= 9  # the unlimited optimum
 
 
+@pytest.mark.parametrize("node_limit", range(2, 6))
+@pytest.mark.parametrize("q, subsets, seed, root", [(3, 8, 4, 9), (2, 6, 1, 6)])
+def test_limit_bound_keeps_the_root_bound_after_lp_time_outs(monkeypatch, q, subsets, seed,
+                                                             root, node_limit):
+    # only the root LP answers; every later one ends as on a HiGHS time-out,
+    # and the nodes it leaves open keep the bound their parents proved
+    system = x3c_system(q, subsets, seed)
+    assert solve(system, SolveLimits(node_limit=1)).bound == root
+    linprog, calls = solver_bb._linprog, []
+
+    def root_only(model, lb, ub):
+        calls.append(None)
+        return linprog(model, lb, ub) if len(calls) == 1 else solver_bb._LPResult(4, None, None)
+
+    monkeypatch.setattr(solver_bb, "_linprog", root_only)
+    res = solve(system, SolveLimits(node_limit=node_limit))
+    assert res.status == "limit_reached" and res.bound == root
+
+
 @pytest.mark.parametrize("q, subsets, seed", [(3, 8, 4), (2, 6, 1), (3, 7, 2), (4, 9, 5)])
 def test_float_mip_agrees_on_x3c(q, subsets, seed):
     system = x3c_system(q, subsets, seed)

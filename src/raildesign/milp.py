@@ -162,6 +162,7 @@ def build(instance) -> ConstraintSystem:
     for a in net.arcs:
         if a.multiplicity != 1:
             raise BuildError("multi-arc instances are only supported by the SP solver")
+    # CONN_OPTIONAL and VIA_OPTIONAL again, for callers that skip validate_instance
     trains = {t.id: t for t in instance.trains}
     for c in instance.connections:
         if trains[c.feeder].optional or trains[c.connecting].optional:

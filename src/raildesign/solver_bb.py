@@ -8,6 +8,18 @@ the parent's bound, and the preferred value is pushed last so it is tried
 first.  A node is a leaf once no variable is free; propagation has then
 checked every row, so its values are an incumbent candidate.
 
+The root LP comes before any propagation is set up.  One pass over the
+signs of the rows finds the dominated columns (no positive coefficient in
+<= form, cost <= 0), and the root LP is solved with them at lower bound
+1, which cuts off no 0-1 optimum.  When HiGHS reports that LP infeasible
+the solve returns ``infeasible`` with ``nodes`` 1 and ``lp_calls`` 1, and
+neither the <= rows nor the engine is built.  The verdict trusts HiGHS's
+status, as every LP prune below does; no exact certificate backs either
+yet.  Otherwise the engine is built, propagates the root and fixes the
+dominated columns, and the root keeps its LP result unless propagation
+fixed more, when it re-solves warm.  The limits count the root LP as node
+1: ``node_limit=0`` runs no LP, and a time limit reaches HiGHS before it.
+
 The linear relaxation is solved at every node with HiGHS, which comes from
 SciPy's compiled ``optimize/_highspy/_core`` extension, loaded from its file
 without importing ``scipy.optimize``; without that file the package import
@@ -101,6 +113,24 @@ class SolveResult:
     system: object = None
 
 
+def _dominated(system, obj):
+    """The columns with no positive coefficient in <= form (an equality row's
+    coefficients count with both signs) and an objective coefficient <= 0.
+
+    Raising such a column to 1 in a feasible 0-1 point breaks no row and
+    does not raise the cost, so it is fixed to 1 up front.  This covers the
+    zero-cost expansion variables, which would otherwise bloat the search
+    tree.  One pass over the signs in the rows as built.
+    """
+    tightens = [False] * len(system.variables)
+    for row in system.rows:
+        upper, lower = row.sense != ">=", row.sense != "<="
+        for v, c in row.terms:
+            if (c > 0 and upper) or (c < 0 and lower):
+                tightens[v] = True
+    return [v for v, t in enumerate(tightens) if not t and obj.get(v, 0) <= 0]
+
+
 def _le_rows(system):
     """The rows as (cols, coefs, rhs) in <= sense, coefficients as built; an
     equality row gives its <= row and then its negated >= row."""
@@ -123,36 +153,37 @@ def _lp_model(rows, nvars, cost):
 
     An equality row is one row with equal lower and upper bounds.  Nodes
     change only the column bounds, so each run warm-starts from the basis of
-    the one before.
+    the one before.  ValueError on a row that lists a variable twice.
     """
     start, col_of, val_of, row_lo, row_up = [0], [], [], [], []
     for row in rows:
         if not row.terms:
             continue
-        start.append(start[-1] + len(row.terms))
-        col_of.extend(v for v, _ in row.terms)
-        val_of.extend(c for _, c in row.terms)
+        cols, vals = zip(*row.terms)
+        if len(set(cols)) != len(cols):
+            raise ValueError(f"duplicate variable in row {row.name}")
+        start.append(start[-1] + len(cols))
+        col_of += cols
+        val_of += vals
         row_lo.append(-_highs.kHighsInf if row.sense == "<=" else row.rhs)
         row_up.append(_highs.kHighsInf if row.sense == ">=" else row.rhs)
-    lp = _highs.HighsLp()
-    lp.num_col_ = nvars
-    lp.num_row_ = len(row_lo)
-    lp.col_cost_ = cost
-    lp.col_lower_ = _np.zeros(nvars)
-    lp.col_upper_ = _np.ones(nvars)
-    lp.row_lower_ = _np.array(row_lo, dtype=float)
-    lp.row_upper_ = _np.array(row_up, dtype=float)
-    matrix = lp.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kRowwise
-    matrix.num_col_ = nvars
-    matrix.num_row_ = len(row_lo)
-    matrix.start_ = _np.array(start, dtype=_np.int32)
-    matrix.index_ = _np.array(col_of, dtype=_np.int32)
-    matrix.value_ = _np.array(val_of, dtype=float)
+    cost = _np.asarray(cost, dtype=float)
+    if cost.shape != (nvars,):  # passModel reads nvars costs from its buffer
+        raise ValueError(f"cost has shape {cost.shape}, not ({nvars},)")
     model = _highs._Highs()
     model.setOptionValue("output_flag", False)
     model.setOptionValue("presolve", "off")  # the rows come presolved
-    model.passModel(lp)
+    # passModel's array form takes the NumPy arrays as they are; a HighsLp's
+    # fields would copy them in element by element
+    status = model.passModel(
+        nvars, len(row_lo), len(col_of), _highs.MatrixFormat.kRowwise,
+        _highs.ObjSense.kMinimize, 0.0, cost, _np.zeros(nvars), _np.ones(nvars),
+        _np.array(row_lo, dtype=float), _np.array(row_up, dtype=float),
+        _np.array(start, dtype=_np.int32), _np.array(col_of, dtype=_np.int32),
+        _np.array(val_of, dtype=float),
+        _np.zeros(nvars, dtype=_np.int32))  # integrality: every column continuous
+    if status == _highs.HighsStatus.kError:
+        raise RuntimeError("HiGHS rejected the LP")
     return model
 
 
@@ -198,8 +229,6 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     limits = limits or SolveLimits()
     t_start = time.monotonic()
     nvars = len(system.variables)
-    engine = PropEngine(nvars, _le_rows(system))
-    values = engine.values  # updated in place by assign and backtrack
 
     obj = {}
     for vid, coeff in system.objective:
@@ -207,6 +236,14 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     obj_vars = sorted(obj)
     obj_const = Fraction(system.objective_constant)
     obj_den = lcm(1, *(c.denominator for c in obj.values())) if obj else 1
+
+    dominated = _dominated(system, obj)
+    c_vec = _np.zeros(nvars)
+    for v, cf in obj.items():
+        c_vec[v] = float(cf)
+    lp = _lp_model(system.rows, nvars, c_vec)
+    engine = None  # built at the root, once its LP is feasible
+    values = [FREE] * nvars
 
     def trivial_bound():
         # fixed-at-1 costs plus every still-collectable negative coefficient
@@ -232,35 +269,17 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             incumbent = assignment
             incumbent_obj = value
 
-    # Dominance presolve: a variable that never tightens a row (all
-    # coefficients non-positive in <= form) and never worsens the objective
-    # can be fixed to 1 up front.  This covers zero-cost expansion
-    # variables, which would otherwise bloat the search tree.
-    feasible = engine.propagate_root()
-    for v, occurrences in enumerate(engine.watch):
-        if feasible and values[v] == FREE and obj.get(v, 0) <= 0 \
-                and all(c <= 0 for _r, c in occurrences):
-            feasible = engine.assign(v, 1)
-    if not feasible:
-        return SolveResult("infeasible", None, None, None,
-                           {"nodes": 0, "wall_time": time.monotonic() - t_start,
-                            "lp_calls": 0}, system)
-
-    c_vec = _np.zeros(nvars)
-    for v, cf in obj.items():
-        c_vec[v] = float(cf)
-    lp = _lp_model(system.rows, nvars, c_vec)
-    design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
-
     # Open children as (parent's trail mark, variable, value, parent's bound);
-    # the root fixes nothing and has the trivial bound.  Each node runs one LP.
-    nodes = 0
-    stack = [(engine.mark(), None, None, trivial_bound())]
+    # the root fixes nothing and has the trivial bound.  Each node runs one
+    # LP, the root at most two.
+    nodes = lp_calls = 0
+    stack = [(0, None, None, trivial_bound())]
     while stack:
         mark, var, val, parent_bound = stack.pop()
-        engine.backtrack(mark)
-        if var is not None and not engine.assign(var, val):
-            continue
+        if engine is not None:
+            engine.backtrack(mark)
+            if var is not None and not engine.assign(var, val):
+                continue
         if (limits.node_limit is not None and nodes >= limits.node_limit) or (
                 limits.time_limit is not None
                 and time.monotonic() - t_start > limits.time_limit):
@@ -271,8 +290,30 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             # HiGHS checks its limit against the model's total run time
             left = limits.time_limit - (time.monotonic() - t_start)
             lp.setOptionValue("time_limit", lp.getRunTime() + max(left, 0.0))
+        res = None
+        if engine is None:
+            # the root: its LP first, with the dominated columns at 1, and
+            # the engine only once that LP is feasible
+            root_lb = _np.zeros(nvars)
+            root_lb[dominated] = 1.0
+            res = _linprog(lp, root_lb, _np.ones(nvars))
+            lp_calls += 1
+            if res.status == 2:
+                continue
+            engine = PropEngine(nvars, _le_rows(system))
+            values = engine.values  # updated in place by assign and backtrack
+            design = _np.array([m.kind == "expand" for m in system.variables],
+                               dtype=bool)
+            if not engine.propagate_root():
+                continue
+            for v in dominated:
+                engine.assign(v, 1)  # raises no minimum activity: never a conflict
+            if values.count(FREE) + len(dominated) < nvars:
+                res = None  # propagation fixed more: re-solve under its fixings
         state = _np.array(values)
-        res = _linprog(lp, (state == 1).astype(float), (state != 0).astype(float))
+        if res is None:
+            res = _linprog(lp, (state == 1).astype(float), (state != 0).astype(float))
+            lp_calls += 1
         if res.status == 2:
             continue
         # Without an LP optimum (a time-out or numeric trouble) the trivial
@@ -310,7 +351,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         stack.append((mark, v, 1 - first, node_bound))
         stack.append((mark, v, first, node_bound))
 
-    stats = {"nodes": nodes, "wall_time": time.monotonic() - t_start, "lp_calls": nodes}
+    stats = {"nodes": nodes, "wall_time": time.monotonic() - t_start, "lp_calls": lp_calls}
     if stack:
         # only a limit leaves children open; every unexplored node lies
         # below one of them

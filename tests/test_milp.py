@@ -351,6 +351,11 @@ def test_build_rejections():
     with pytest.raises(milp.BuildError, match="connection"):
         milp.build(inst)
 
+    trains = (mk_train("O", "A", "C", 0, 2, optional=True, penalty=1, via=["B"]),)
+    inst = Instance(network=net, horizon=2, trains=trains, capacity_window=1)
+    with pytest.raises(milp.BuildError, match="VIA"):
+        milp.build(inst)
+
 
 def test_monotone_growth_when_adding_a_train():
     base = line_instance(c=1, ce=1, k=5, n_trains=2, horizon=3,

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.machinery
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -122,6 +123,30 @@ def test_node_limit_counts_processed_nodes(bound_mode, node_limit):
     assert res.status == "limit_reached" and res.stats["nodes"] == node_limit
 
 
+def test_limits_count_the_root_lp_as_node_one(monkeypatch):
+    # this system's root LP is infeasible, yet node_limit=0 runs no LP and
+    # reports the trivial bound; a time limit reaches HiGHS before the root LP
+    system = x3c_system(2, 3, 2, planted=False)
+    linprog, seen = solver_bb._linprog, []
+
+    def record(model, lb, ub):
+        seen.append(model.getOptionValue("time_limit")[1])
+        return linprog(model, lb, ub)
+
+    monkeypatch.setattr(solver_bb, "_linprog", record)
+    cost = {}
+    for v, c in system.objective:
+        cost[v] = cost.get(v, 0) + c
+    trivial = system.objective_constant + sum(c for c in cost.values() if c < 0)
+    res = solve(system, SolveLimits(node_limit=0))
+    assert (res.status, res.bound) == ("limit_reached", trivial)
+    assert (res.stats["nodes"], res.stats["lp_calls"], seen) == (0, 0, [])
+    res = solve(system, SolveLimits(node_limit=1))
+    assert res.status == "infeasible" and seen == [math.inf]
+    res = solve(system, SolveLimits(time_limit=60))
+    assert res.status == "infeasible" and len(seen) == 2 and seen[1] <= 61
+
+
 def test_limit_bound_counts_open_subtrees():
     # the unlimited solve proves the optimum is 9, so no valid bound exceeds it
     res = solve(x3c_system(3, 8, 4), SolveLimits(node_limit=10))
@@ -226,6 +251,22 @@ def test_le_rows():
         solver_bb._le_rows(sys)
 
 
+def test_duplicate_variable_is_rejected_before_highs_sees_the_rows(monkeypatch):
+    sys = ConstraintSystem()
+    sys.add_var(VarMeaning("expand", arc_index=0), "b0")
+    sys.rows.append(LinearRow([(0, 1), (0, 1)], "<=", 1, "dup"))
+    highs = solver_bb._highs
+
+    class NoModel:
+        def __getattr__(self, name):
+            assert name != "_Highs", "HiGHS saw the rows"
+            return getattr(highs, name)
+
+    monkeypatch.setattr(solver_bb, "_highs", NoModel())
+    with pytest.raises(ValueError, match="duplicate variable in row dup"):
+        solve(sys)
+
+
 def no_row_system():
     sys = ConstraintSystem()
     for i, cost in enumerate((3, -2, 0, Fraction(-1, 2))):
@@ -317,6 +358,47 @@ def test_persistent_lp_matches_linprog(system, root):
         if system.rows:
             # warm starts right after an infeasible LP were exercised
             assert any(a == 2 and b == 0 for a, b in zip(statuses, statuses[1:]))
+
+
+@pytest.mark.parametrize("system", [x3c_system(2, 3, 2, planted=False),
+                                    x3c_system(3, 4, 1, planted=False)],
+                         ids=["x3c-unplanted-2-3", "x3c-unplanted-3-4"])
+def test_infeasible_root_lp_builds_no_engine(monkeypatch, system):
+    def no_engine(*args):
+        raise AssertionError("PropEngine built")
+
+    monkeypatch.setattr(solver_bb, "PropEngine", no_engine)
+    res = solve(system)
+    assert res.status == "infeasible"
+    assert (res.stats["nodes"], res.stats["lp_calls"]) == (1, 1)
+
+
+def test_root_re_solves_when_propagation_fixes_more(monkeypatch):
+    # x0 >= 1 with cost 1: x0 is not dominated, but root propagation fixes it,
+    # so the root LP runs again under that fixing
+    sys = ConstraintSystem()
+    sys.add_var(VarMeaning("expand", arc_index=0), "b0")
+    sys.objective.append((0, 1))
+    sys.rows.append(LinearRow([(0, 1)], ">=", 1, "force"))
+    linprog, lower = solver_bb._linprog, []
+
+    def record(model, lb, ub):
+        lower.append(lb.tolist())
+        return linprog(model, lb, ub)
+
+    monkeypatch.setattr(solver_bb, "_linprog", record)
+    res = solve(sys)
+    assert (res.status, res.objective) == ("optimal", 1)
+    assert (res.stats["nodes"], res.stats["lp_calls"], lower) == (1, 2, [[0.0], [1.0]])
+
+
+def test_lp_model_rejects_what_highs_cannot_read():
+    # HiGHS reads the arrays as they are: a cost vector of the wrong length
+    # never reaches it, and a column index out of range is an error
+    with pytest.raises(ValueError, match="cost has shape"):
+        solver_bb._lp_model([], 2, np.zeros(3))
+    with pytest.raises(RuntimeError, match="rejected"):
+        solver_bb._lp_model([LinearRow([(5, 1)], "<=", 1, "r")], 2, np.zeros(2))
 
 
 def test_highs_loads_without_scipy_optimize():
@@ -458,6 +540,26 @@ def test_matches_enumeration_on_random_rational_systems(bound_mode, system):
     assert (res.status, res.objective) == enumerate_system(system)
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_systems(), st.data())
+def test_dominated_columns_match_the_engine_rule(system, data):
+    # the rule as the engine's watch lists state it: no positive coefficient
+    # in <= form and a cost <= 0; the rows include an = and a >= row
+    n = len(system.variables)
+    for sense in ("=", ">="):
+        cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                  unique=True))
+        system.rows.append(LinearRow([(v, data.draw(RATIONALS)) for v in cols], sense,
+                                     data.draw(RATIONALS), sense))
+    cost = {}
+    for v, c in system.objective:
+        cost[v] = cost.get(v, 0) + c
+    engine = solver_bb.PropEngine(n, solver_bb._le_rows(system))
+    want = [v for v, occurrences in enumerate(engine.watch)
+            if cost.get(v, 0) <= 0 and all(c <= 0 for _r, c in occurrences)]
+    assert solver_bb._dominated(system, cost) == want
+
+
 def test_constant_row_contradiction():
     sys = ConstraintSystem()
     sys.add_var(VarMeaning("expand", arc_index=0), "b0")
@@ -517,14 +619,23 @@ def test_via_nodes_are_met_by_one_walk(bound_mode):
     assert solve(milp.build(inst)).status == "infeasible"
 
 
-def test_matches_walk_oracle_on_random_instances(bound_mode):
+def test_matches_walk_oracle_on_random_instances(bound_mode, monkeypatch):
+    engine, built = solver_bb.PropEngine, []
+    monkeypatch.setattr(solver_bb, "PropEngine",
+                        lambda *args: built.append(None) or engine(*args))
     rng = random.Random(3)
-    statuses = set()
+    statuses, refuted_by = set(), set()
     for _ in range(400):
         inst = random_walk_instance(rng)
+        built.clear()
         res = solve(milp.build(inst))
         assert (res.status, res.objective) == walk_oracle(inst), inst
         if res.status == "optimal":
             assert verify(inst, extract_solution(inst, res)) == []
+        else:
+            # an infeasible root LP answers before the engine is built
+            refuted_by.add("search" if built else "root LP")
         statuses.add(res.status)
     assert statuses == {"optimal", "infeasible"}
+    # without LP answers only propagation and search refute
+    assert refuted_by == ({"root LP", "search"} if bound_mode == "lp" else {"search"})

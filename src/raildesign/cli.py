@@ -34,19 +34,18 @@ def _load_validated(path):
 def _solve_with_mode(inst, mode, limits):
     """Returns (status, solution or None, branch-and-bound result or None).
     Raises UnsupportedInstance for an explicit mode that does not fit the
-    instance."""
-    if mode in ("arborescence", "sp"):
-        solver = (polycases.solve_arborescence if mode == "arborescence"
-                  else polycases.solve_series_parallel)
-        sol = solver(inst)
+    instance; ``auto`` tries its next solver, and then the full model."""
+    special = {"auto": (polycases.solve_arborescence, polycases.solve_series_parallel),
+               "arborescence": (polycases.solve_arborescence,),
+               "sp": (polycases.solve_series_parallel,), "milp": ()}
+    for solver in special[mode]:
+        try:
+            sol = solver(inst)
+        except polycases.UnsupportedInstance:
+            if mode != "auto":
+                raise
+            continue
         return ("optimal", sol, None) if sol is not None else ("infeasible", None, None)
-    if mode == "auto":
-        for solver in (polycases.solve_arborescence, polycases.solve_series_parallel):
-            try:
-                sol = solver(inst)
-            except polycases.UnsupportedInstance:
-                continue
-            return ("optimal", sol, None) if sol is not None else ("infeasible", None, None)
     from . import solver_bb
 
     system = milp.build(inst)

@@ -10,15 +10,17 @@ arrival) once and trains that share it share the slot list.  Row
 families, in emission order: capacity, departure, arrival, headway, flow
 conservation, connections, VIA.
 
-Each distinct row is emitted once, and no row that the others and the 0-1
-bounds already imply: a capacity window with no more train terms than the
-arc's capacity, or with the train terms of an earlier window on the arc
-(in this scenario or an earlier one); a second headway row set for a pair
-of trains that shares several scenarios; a connection row at a time when
-the connecting train cannot depart; a departure, arrival, connection
-"departs" or VIA row with the same variables and sense as an earlier one.
-The dropped rows cut off no 0-1 point and no point of the LP relaxation,
-so every optimum stays the same.
+Each distinct row is emitted once, under one rule: a capacity, departure,
+arrival, connection or VIA row with the sense, right-hand side and terms
+of an earlier row is not emitted (a capacity window with the train terms
+of an earlier window on the arc, a connection listed twice, a VIA node
+from which every walk goes straight to the destination).  Flow and
+headway rows are distinct by construction.  No row that the others and
+the 0-1 bounds already imply is emitted either: a capacity window with no
+more train terms than the arc's capacity; a second headway row set for a
+pair of trains that shares several scenarios; a connection row at a time
+when the connecting train cannot depart.  The dropped rows cut off no 0-1
+point and no point of the LP relaxation, so every optimum stays the same.
 
 Rows find their terms in one per-train slot index that ``build`` fills as
 it creates the variables: the train's (departure, variable) pairs per arc,
@@ -245,16 +247,25 @@ def build(instance) -> ConstraintSystem:
             sys.objective += route_terms(tid, arcs_out.get(tr.origin, []), -Fraction(tr.penalty))
             sys.objective_constant += Fraction(tr.penalty)
 
+    # Every row but the flow and headway rows, which are distinct by
+    # construction, goes through ``emit_once``: it drops a row with the sense,
+    # right-hand side and terms of an earlier one, and names only those kept.
+    emitted = set()
+
+    def emit_once(terms, sense, rhs, base):
+        key = (sense, rhs, frozenset(terms))
+        if key not in emitted:
+            emitted.add(key)
+            sys.rows.append(LinearRow(terms, sense, rhs, name(base)))
+
     # Capacity: one row per (arc, scenario, window start), linearized as
     # sum x - expandable * b <= capacity.  A departure at t counts in the
     # windows starting at t - window + 1 .. t.  A window with at most
-    # `capacity` train terms always holds (x <= 1, b >= 0), and one whose
-    # train terms already gave a row on this arc repeats that row, so
-    # neither is emitted; a kept row is named after the first scenario and
-    # start that produced it.
+    # `capacity` train terms always holds (x <= 1, b >= 0), so it is not
+    # emitted; the expansion term keys a repeated window to its arc, and a
+    # kept row is named after the first scenario and start that produced it.
     last = horizon - window + 1
     for ai, arc in enumerate(net.arcs):
-        seen = set()
         for sc in scenarios:
             windows = [[] for _ in range(last + 1)]
             for tid in sc.train_ids:
@@ -262,15 +273,10 @@ def build(instance) -> ConstraintSystem:
                     for t0 in range(max(0, t - window + 1), min(t, last) + 1):
                         windows[t0].append((vid, 1))
             for t0, terms in enumerate(windows):
-                if len(terms) <= arc.capacity:
-                    continue
-                key = frozenset(vid for vid, _ in terms)
-                if key in seen:
-                    continue
-                seen.add(key)
-                terms.append((ai, -arc.expandable_capacity))
-                sys.rows.append(LinearRow(terms, "<=", arc.capacity,
-                                          name(f"cap_{arc_tag[ai]}_{tag[sc.id]}_{t0}")))
+                if len(terms) > arc.capacity:
+                    terms.append((ai, -arc.expandable_capacity))
+                    emit_once(terms, "<=", arc.capacity,
+                              f"cap_{arc_tag[ai]}_{tag[sc.id]}_{t0}")
 
     # Departure and arrival.  Every slot out of the origin departs in the
     # window and every slot into the destination arrives in it.  A mandatory
@@ -279,28 +285,15 @@ def build(instance) -> ConstraintSystem:
     # implies the arrival row.  It is kept; the seed-1 benchmark nodes with
     # and without it are mixed: 101 / 103 (x3c), 148 / 144 (corridor) and
     # 56 / 56 (scenarios).
-    #
-    # These rows, the connections' "departs at all" rows and the VIA rows
-    # each count some route variables against 1; one that repeats an
-    # earlier such row (a VIA node from which every walk goes straight to
-    # the destination, say) is not emitted.
-    once = set()  # (sense, variables) of each row emitted by ``count_once``
-
-    def count_once(terms, sense, base):
-        key = (sense, frozenset(v for v, _ in terms))
-        if key not in once:
-            once.add(key)
-            sys.rows.append(LinearRow(terms, sense, 1, name(base)))
-
     for tid in sorted(trains):
         tr = trains[tid]
         deps = route_terms(tid, arcs_out.get(tr.origin, []))
         if tr.optional:
-            count_once(deps, "<=", f"dep_{tag[tid]}_once")
+            emit_once(deps, "<=", 1, f"dep_{tag[tid]}_once")
         else:
-            count_once(deps, "=", f"dep_{tag[tid]}")
-            count_once(route_terms(tid, arcs_in.get(tr.destination, [])), ">=",
-                       f"arr_{tag[tid]}")
+            emit_once(deps, "=", 1, f"dep_{tag[tid]}")
+            emit_once(route_terms(tid, arcs_in.get(tr.destination, [])), ">=", 1,
+                      f"arr_{tag[tid]}")
 
     # Minimum headway: one row set per ordered pair of distinct trains that
     # share a scenario, in order of the first scenario that holds both.
@@ -355,13 +348,13 @@ def build(instance) -> ConstraintSystem:
         for t in sorted({t for ai in outs for t, _ in runs[c.connecting].get(ai, ())}):
             terms = [(vid, 1) for at, vid in feeds if at <= t]
             terms += route_terms(c.connecting, outs, -1, until=t)
-            sys.rows.append(LinearRow(terms, ">=", 0, name(f"{prefix}_{t}")))
-        count_once(route_terms(c.connecting, outs), ">=", f"{prefix}_dep")
+            emit_once(terms, ">=", 0, f"{prefix}_{t}")
+        emit_once(route_terms(c.connecting, outs), ">=", 1, f"{prefix}_dep")
 
     # VIA: the train departs from the required node at least once.
     for tid in sorted(trains):
         for n in trains[tid].via_nodes:
-            count_once(route_terms(tid, arcs_out.get(n, [])), ">=", f"via_{tag[tid]}_{tag[n]}")
+            emit_once(route_terms(tid, arcs_out.get(n, [])), ">=", 1, f"via_{tag[tid]}_{tag[n]}")
 
     return sys
 

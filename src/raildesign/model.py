@@ -237,9 +237,12 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if t.optional and t.via_nodes:
             err("VIA_OPTIONAL", "VIA nodes are restricted to non-optional trains", f"train {t.id}")
 
-    covered = set()
+    covered, scenario_ids = set(), set()
     for s in inst.scenarios:
         loc = f"scenario {s.id}"
+        if s.id in scenario_ids:
+            err("SCENARIO_ID_DUP", f"duplicate scenario id {s.id!r}", loc)
+        scenario_ids.add(s.id)
         if not s.train_ids:
             err("SCENARIO_EMPTY", "scenario has no trains", loc)
         listed = set()
@@ -437,8 +440,13 @@ _SOLUTION = _Table(Solution,
 
 def instance_from_dict(data: dict) -> Instance:
     top = _read(data, _INSTANCE, "instance")
-    headways = HeadwayTable(entries={h[:4]: h.m for h in top.pop("headways")},
-                            default=top.pop("headway_default"))
+    entries = {}
+    for i, h in enumerate(top.pop("headways")):
+        if h[:4] in entries:  # a second M for one key would overwrite the first unseen
+            raise InstanceError(f"headways[{i}]: repeats the headway "
+                                f"{h.frm}->{h.to} {h.v1}/{h.v2}")
+        entries[h[:4]] = h.m
+    headways = HeadwayTable(entries=entries, default=top.pop("headway_default"))
     network = Network(nodes=top.pop("nodes"), arcs=top.pop("arcs"), headways=headways)
     return Instance(network=network, **top)
 

@@ -10,15 +10,16 @@ checked every row, so its values are an incumbent candidate.
 
 The root LP comes before any propagation is set up.  One pass over the
 signs of the rows finds the dominated columns (no positive coefficient in
-<= form, cost <= 0), and the root LP is solved with them at lower bound
-1, which cuts off no 0-1 optimum.  When HiGHS reports that LP infeasible
-the solve returns ``infeasible`` with ``nodes`` 1 and ``lp_calls`` 1, and
-neither the <= rows nor the engine is built.  The verdict trusts HiGHS's
-status, as every LP prune below does; no exact certificate backs either
-yet.  Otherwise the engine is built, propagates the root and fixes the
-dominated columns, and the root keeps its LP result unless propagation
-fixed more, when it re-solves warm.  The limits count the root LP as node
-1: ``node_limit=0`` runs no LP, and a time limit reaches HiGHS before it.
+<= form, cost <= 0).  They start fixed at 1, which cuts off no 0-1
+optimum, and the root LP takes its column bounds from the fixings, as
+every node's LP does.  When HiGHS reports it infeasible the solve returns
+``infeasible`` with ``nodes`` 1 and ``lp_calls`` 1, and neither the <=
+rows nor the engine is built.  The verdict trusts HiGHS's status, as every
+LP prune below does; no exact certificate backs either yet.  Otherwise the
+engine is built, propagates the root and fixes the dominated columns, and
+the root keeps its LP result unless propagation fixed more, when it
+re-solves warm.  The limits count the root LP as node 1: ``node_limit=0``
+runs no LP, and a time limit reaches HiGHS before it.
 
 The linear relaxation is solved at every node with HiGHS, which comes from
 SciPy's compiled ``optimize/_highspy/_core`` extension, loaded from its file
@@ -137,8 +138,6 @@ def _le_rows(system):
     out = []
     for row in system.rows:
         cols = [v for v, _ in row.terms]
-        if len(set(cols)) != len(cols):
-            raise ValueError(f"duplicate variable in row {row.name}")
         coefs = [c for _, c in row.terms]
         if row.sense != ">=":
             out.append((cols, coefs, row.rhs))
@@ -206,23 +205,16 @@ def _linprog(model, lb, ub):
     return _LPResult(int(status), None, None)
 
 
-def _most_fractional(x):
-    """Position of the entry of ``x`` nearest 0.5 (ties to the first), and
-    whether every entry is within 1e-6 of an integer."""
-    return (int(_np.argmax(-_np.abs(x - 0.5))),
-            bool(_np.all(_np.abs(x - _np.round(x)) <= 1e-6)))
-
-
 def _branch_position(x, design):
-    """``_most_fractional`` of ``x``, except that the position is the most
-    fractional entry where ``design`` is true, if one of those is fractional."""
-    i, integral = _most_fractional(x)
-    d = _np.flatnonzero(design)
-    if d.size:
-        j, design_integral = _most_fractional(x[d])
-        if not design_integral:
-            i = int(d[j])
-    return i, integral
+    """Position of the entry of ``x`` nearest 0.5 (ties to the first) among its
+    fractional ``design`` entries, or among all entries if none is; and
+    whether every entry is within 1e-6 of an integer."""
+    dist = _np.abs(x - 0.5)
+    fractional = _np.abs(x - _np.round(x)) > 1e-6
+    pick = fractional & design
+    if pick.any():
+        dist = _np.where(pick, dist, _np.inf)
+    return int(_np.argmin(dist)), not fractional.any()
 
 
 def solve(system, limits: SolveLimits | None = None) -> SolveResult:
@@ -244,6 +236,8 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     lp = _lp_model(system.rows, nvars, c_vec)
     engine = None  # built at the root, once its LP is feasible
     values = [FREE] * nvars
+    for v in dominated:  # cost <= 0: the trivial bound stays as it is
+        values[v] = 1
 
     def trivial_bound():
         # fixed-at-1 costs plus every still-collectable negative coefficient
@@ -290,30 +284,23 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             # HiGHS checks its limit against the model's total run time
             left = limits.time_limit - (time.monotonic() - t_start)
             lp.setOptionValue("time_limit", lp.getRunTime() + max(left, 0.0))
-        res = None
-        if engine is None:
-            # the root: its LP first, with the dominated columns at 1, and
-            # the engine only once that LP is feasible
-            root_lb = _np.zeros(nvars)
-            root_lb[dominated] = 1.0
-            res = _linprog(lp, root_lb, _np.ones(nvars))
-            lp_calls += 1
-            if res.status == 2:
-                continue
+        state = _np.array(values)
+        res = _linprog(lp, state == 1, state != 0)
+        lp_calls += 1
+        if engine is None and res.status != 2:
+            # a feasible root LP: build the engine and propagate the root
             engine = PropEngine(nvars, _le_rows(system))
             values = engine.values  # updated in place by assign and backtrack
-            design = _np.array([m.kind == "expand" for m in system.variables],
-                               dtype=bool)
+            design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
             if not engine.propagate_root():
                 continue
             for v in dominated:
                 engine.assign(v, 1)  # raises no minimum activity: never a conflict
             if values.count(FREE) + len(dominated) < nvars:
-                res = None  # propagation fixed more: re-solve under its fixings
-        state = _np.array(values)
-        if res is None:
-            res = _linprog(lp, (state == 1).astype(float), (state != 0).astype(float))
-            lp_calls += 1
+                # propagation fixed more: re-solve warm under its fixings
+                state = _np.array(values)
+                res = _linprog(lp, state == 1, state != 0)
+                lp_calls += 1
         if res.status == 2:
             continue
         # Without an LP optimum (a time-out or numeric trouble) the trivial

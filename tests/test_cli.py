@@ -123,9 +123,11 @@ def test_solve_mistyped_field(tmp_path, capsys, where, patch):
 
 
 def test_explicit_mode_mismatch(tmp_path, capsys):
-    inst = line_instance(c=1, ce=0, k=0, n_trains=1)  # dwell on: SP solver refuses
-    assert cli.main(["solve", write(tmp_path, inst), "--mode", "sp"]) == 1
-    assert "error: mode sp" in capsys.readouterr().err
+    # dwell on: both special-case solvers refuse, and an explicit mode says so
+    path = write(tmp_path, line_instance(c=1, ce=0, k=0, n_trains=1))
+    for mode in ("sp", "arborescence"):
+        assert cli.main(["solve", path, "--mode", mode]) == 1
+        assert f"error: mode {mode}" in capsys.readouterr().err
 
 
 def test_sp_mode_takes_multi_arcs(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (LpParseError, corridor_instance, line_instance, mk_network,
                      mk_train, parse_lp, parsed_signature, random_walk_instance,
-                     system_signature, train_walks)
+                     rich_instance, system_signature, train_walks)
 from raildesign import milp, reduction
 from raildesign.model import (ConnectionRequirement, HeadwayTable, Instance,
                               Scenario, Solution, validate_instance)
@@ -398,6 +398,10 @@ def test_presolve_emits_each_distinct_row_once():
             assert key not in seen, (row.name, seen.get(key), inst)
             seen[key] = row.name
     assert all(kinds.values()), kinds
+    # a connection listed twice gives the rows of the single listing
+    inst = rich_instance()
+    twice = dataclasses.replace(inst, connections=inst.connections * 2)
+    assert milp.build(twice).rows == milp.build(inst).rows
 
 
 def test_presolve_capacity_rows():

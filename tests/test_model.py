@@ -130,6 +130,16 @@ def test_scenario_coverage():
     assert codes(validate_instance(twice)) == {"SCENARIO_DUP"}
 
 
+def test_repeated_scenario_id_rejected():
+    # the build would name the second scenario's rows with a ``__2`` suffix
+    inst = rich_instance()
+    again = dataclasses.replace(inst, scenarios=inst.scenarios
+                                + (Scenario("S1", ("T1", "T3")),))
+    report = validate_instance(again)
+    assert codes(report) == {"SCENARIO_ID_DUP"}
+    assert [e.location for e in report.errors] == ["scenario S1"]
+
+
 def test_multiplicity_below_one_rejected():
     # a multi-arc is valid input; each solver decides whether it takes one
     net = mk_network([("A", "B", 1, 1, 0, 0, 2)])
@@ -253,6 +263,18 @@ def test_key_checks_per_record(kind, path, where, required):
     record["extra"] = 1
     with pytest.raises(InstanceError, match=re.escape(f"{where}: unknown keys ['extra']")):
         read(data)
+
+
+def test_repeated_headway_entry_rejected():
+    # a table holds one M per (from, to, v1, v2); a second listing is an
+    # error, not a silent overwrite of the first
+    data = instance_to_dict(rich_instance())
+    data["headways"].append(dict(data["headways"][0], M=7))
+    with pytest.raises(InstanceError,
+                       match=re.escape("headways[1]: repeats the headway A->B T1/T2")):
+        instance_from_dict(data)
+    data["headways"][1]["v2"] = "T3"  # another pair on the arc is its own entry
+    assert instance_from_dict(data).network.headways.get("A", "B", "T1", "T3") == 7
 
 
 def test_instance_unknown_keys_rejected():

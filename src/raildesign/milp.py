@@ -3,12 +3,15 @@
 Each train gets route and dwell variables only on the time-expanded slots
 it can use on a walk from its origin, departing in its window, to its
 destination, arriving in its window (``expand``).  A walk never re-enters
-the origin and ends at its first arrival at the destination.  The slots
-depend only on the train's origin, destination and window, so ``build``
-expands each distinct (origin, destination, earliest departure, latest
-arrival) once and trains that share it share the slot list.  Row
-families, in emission order: capacity, departure, arrival, headway, flow
-conservation, connections, VIA.
+the origin and ends at its first arrival at the destination.  The network
+is the same at every time step, so the slots depend only on the train's
+origin, destination and window width, min(latest arrival, horizon) -
+earliest departure, up to a shift in time: ``build`` expands each distinct
+(origin, destination, width) once, for a train that departs at 0, into a
+template, and stamps every train of that shape from it, numbering the
+variables from the train's first id and shifting the times by its earliest
+departure.  Row families, in emission order: capacity, departure,
+arrival, headway, flow conservation, connections, VIA.
 
 Each distinct row is emitted once, under one rule: a capacity, departure,
 arrival, connection or VIA row with the sense, right-hand side and terms
@@ -22,10 +25,11 @@ pair of trains that shares several scenarios; a connection row at a time
 when the connecting train cannot depart.  The dropped rows cut off no 0-1
 point and no point of the LP relaxation, so every optimum stays the same.
 
-Rows find their terms in one per-train slot index that ``build`` fills as
-it creates the variables: the train's (departure, variable) pairs per arc,
-and the terms of each flow row it touches.  No row looks up a slot that
-does not exist.  The expansion variable of arc ``i`` is variable ``i``.
+Rows find their terms in the template's slot index, filed once per
+template with slot positions where variable ids go: the (departure,
+position) pairs per arc, and the terms of each flow row the slots touch.
+No row looks up a slot that does not exist.  The expansion variable of arc
+``i`` is variable ``i``.
 
 Row names double as machine tags, e.g. ``cap_<from>_<to>_<scenario>_<t0>``
 (the first scenario and window start that gave the row) or
@@ -40,14 +44,14 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import effective_scenarios
 
 
-@dataclass(frozen=True)
-class VarMeaning:
+class VarMeaning(NamedTuple):
     kind: str  # expand | route | dwell
     arc_index: int | None = None
     train: str | None = None
@@ -55,7 +59,7 @@ class VarMeaning:
     t: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class LinearRow:
     terms: list  # of (var id, coefficient); no duplicate ids
     sense: str  # '<=', '=', '>='
@@ -84,22 +88,31 @@ class BuildError(ValueError):
 _SANITIZE = re.compile(r"[^A-Za-z0-9]")
 
 
-def _mk_namer():
+class _Namer:
     """Unique names: the first use of a name keeps it, later ones get
     ``__2``, ``__3``, ...  Callers pass names whose ids are already
     sanitised (``_SANITIZE``) and that start with a family prefix."""
-    used = set()
 
-    def name(base):
+    def __init__(self):
+        self.used = set()
+
+    def __call__(self, base):
         candidate = base
         k = 2
-        while candidate in used:
+        while candidate in self.used:
             candidate = f"{base}__{k}"
             k += 1
-        used.add(candidate)
+        self.used.add(candidate)
         return candidate
 
-    return name
+    def many(self, bases):
+        """``[self(base) for base in bases]``, in one set update when no base
+        repeats another or an earlier name."""
+        fresh = set(bases)
+        if len(fresh) == len(bases) and self.used.isdisjoint(fresh):
+            self.used |= fresh
+            return bases
+        return [self(base) for base in bases]
 
 
 def headway_row(M: int, t1: int, t2: int, x1: int, x2: int, name: str = "hw") -> LinearRow | None:
@@ -156,6 +169,48 @@ def expand(net, horizon, train, allow_dwell):
     return movements, dwells
 
 
+@dataclass(frozen=True, eq=False)  # hashed by identity
+class _Template:
+    """The slots of a train that departs at 0, filed by position: the slot at
+    position ``pos`` becomes the variable ``first + pos`` of each train
+    stamped from it, at time t + shift."""
+    slots: list  # of (kind, arc index, node, t, name head, name middle), in variable order
+    runs: dict  # arc index -> [(departure t, position)], ascending in t
+    flows: list  # of (name middle, t, [(position, coefficient)]), in row order
+
+
+def _template(net, train, width, allow_dwell, node_pos, tag, arc_tag):
+    """Expand ``train`` moved to depart at 0 and arrive by ``width``, and file
+    its slots: the terms of each flow row it touches, with an order key
+    (arrivals by arc, the dwell in, departures by arc, the dwell out), sorted
+    by (node position, t).  No slot enters the origin or leaves the
+    destination, so only the origin's departures and the destination's
+    arrivals stay unfiled: neither place has a flow row."""
+    at_zero = replace(train, earliest_departure=0, latest_arrival=width)
+    movements, dwells = expand(net, width, at_zero, allow_dwell)
+    n_arcs = len(net.arcs)
+    slots, runs, flows = [], {}, defaultdict(list)
+    ordered = sorted([(t, 0, ai) for ai, t in movements]
+                     + [(t, 1, node_pos[node]) for node, t in dwells])
+    for pos, (t, kind, idx) in enumerate(ordered):
+        if kind == 0:
+            arc = net.arcs[idx]
+            slots.append(("route", idx, None, t, "x_", f"_{arc_tag[idx]}_"))
+            runs.setdefault(idx, []).append((t, pos))
+            if arc.frm != train.origin:
+                flows[node_pos[arc.frm], t].append((n_arcs + 1 + idx, pos, -1))
+            if arc.to != train.destination:
+                flows[node_pos[arc.to], t + arc.travel_time].append((idx, pos, 1))
+        else:
+            node = net.nodes[idx].id
+            slots.append(("dwell", None, node, t, "w_", f"_{tag[node]}_"))
+            flows[idx, t].append((2 * n_arcs + 1, pos, -1))
+            flows[idx, t + 1].append((n_arcs, pos, 1))
+    return _Template(slots, runs, [
+        (f"_{tag[net.nodes[p].id]}_", t, [(pos, coef) for _key, pos, coef in sorted(flows[p, t])])
+        for p, t in sorted(flows)])
+
+
 def build(instance) -> ConstraintSystem:
     """Translate a validated instance into the 0-1 model."""
     net = instance.network
@@ -176,52 +231,41 @@ def build(instance) -> ConstraintSystem:
     scenarios = effective_scenarios(instance)
 
     sys = ConstraintSystem()
-    name = _mk_namer()
+    name = _Namer()
     tag = {x: _SANITIZE.sub("x", str(x))
            for x in [n.id for n in net.nodes] + list(trains) + [sc.id for sc in scenarios]}
     arc_tag = [f"{tag[a.frm]}_{tag[a.to]}" for a in net.arcs]
 
     # Variables: expansion first, so the expansion variable of arc ai is ai,
     # then per train (lexicographic) by (time, movement-before-dwell,
-    # arc/node index), over the train's slots.  Each slot is filed as it is
-    # created: runs[tid][ai] lists the train's (departure t, var id) on arc
-    # ai in ascending t; flows[tid][node position, t] the terms of the flow
-    # row at (node, t) with an order key: arrivals by arc, the dwell in,
-    # departures by arc, the dwell out.  No slot enters the origin or leaves
-    # the destination, so only the origin's departures and the destination's
-    # arrivals stay unfiled: neither place has a flow row.
+    # arc/node index), over the train's slots.  Trains of one (origin,
+    # destination, width) share a template (``_template``) expanded for a
+    # departure at 0, with slot positions where variable ids go; each is
+    # stamped from it with its first variable id and its earliest departure
+    # as the time shift: place[tid] = (template, first id, shift).  The width
+    # is min(latest arrival, horizon) - earliest departure, since no slot
+    # leaves before the one or arrives after the other.
     n_arcs = len(net.arcs)
-    for ai in range(n_arcs):
-        sys.add_var(VarMeaning("expand", arc_index=ai), name(f"b_{arc_tag[ai]}"))
+    sys.variables = [VarMeaning("expand", ai) for ai in range(n_arcs)]
+    sys.var_names = name.many([f"b_{t}" for t in arc_tag])
     node_pos = {n.id: i for i, n in enumerate(net.nodes)}
-    # slots: (origin, destination, earliest departure, latest arrival) ->
-    # the sorted slot entries of the trains with that window
-    runs, flows, slots = {}, {}, {}
+    templates, place = {}, {}
     for tid in sorted(trains):
         tr = trains[tid]
-        key = (tr.origin, tr.destination, tr.earliest_departure, tr.latest_arrival)
-        if key not in slots:
-            movements, dwells = expand(net, horizon, tr, instance.allow_dwell)
-            slots[key] = sorted([(t, 0, ai) for ai, t in movements]
-                                + [(t, 1, node_pos[node]) for node, t in dwells])
-        run = runs[tid] = {}
-        flow = flows[tid] = defaultdict(list)
-        for (t, kind, idx) in slots[key]:
-            if kind == 0:
-                arc = net.arcs[idx]
-                vid = sys.add_var(VarMeaning("route", arc_index=idx, train=tid, t=t),
-                                  name(f"x_{tag[tid]}_{arc_tag[idx]}_{t}"))
-                run.setdefault(idx, []).append((t, vid))
-                if arc.frm != tr.origin:
-                    flow[node_pos[arc.frm], t].append((n_arcs + 1 + idx, vid, -1))
-                if arc.to != tr.destination:
-                    flow[node_pos[arc.to], t + arc.travel_time].append((idx, vid, 1))
-            else:
-                node = net.nodes[idx].id
-                vid = sys.add_var(VarMeaning("dwell", train=tid, node=node, t=t),
-                                  name(f"w_{tag[tid]}_{tag[node]}_{t}"))
-                flow[idx, t].append((2 * n_arcs + 1, vid, -1))
-                flow[idx, t + 1].append((n_arcs, vid, 1))
+        shift = tr.earliest_departure
+        width = min(tr.latest_arrival, horizon) - shift
+        key = (tr.origin, tr.destination, width)
+        tmpl = templates.get(key)
+        if tmpl is None:
+            tmpl = templates[key] = _template(net, tr, width, instance.allow_dwell,
+                                              node_pos, tag, arc_tag)
+        place[tid] = (tmpl, len(sys.variables), shift)
+        # tuple.__new__ skips VarMeaning's Python-level __new__, as its _make does
+        sys.variables += [tuple.__new__(VarMeaning, (kind, ai, tid, node, t + shift))
+                          for kind, ai, node, t, _head, _mid in tmpl.slots]
+        tt = tag[tid]
+        sys.var_names += name.many([f"{head}{tt}{mid}{t + shift}"
+                                    for _kind, _ai, _node, t, head, mid in tmpl.slots])
 
     arcs_out = {}  # node -> list of arc indexes
     arcs_in = {}
@@ -229,10 +273,17 @@ def build(instance) -> ConstraintSystem:
         arcs_out.setdefault(arc.frm, []).append(ai)
         arcs_in.setdefault(arc.to, []).append(ai)
 
+    def run(tid, ai):
+        """The train's (departure t, var id) pairs on arc ``ai``, ascending in t."""
+        tmpl, first, shift = place[tid]
+        return [(t + shift, first + pos) for t, pos in tmpl.runs.get(ai, ())]
+
     def route_terms(tid, arc_indexes, coef=1, until=horizon):
         """The train's route variables on these arcs departing by ``until``."""
-        return [(vid, coef) for ai in arc_indexes
-                for t, vid in runs[tid].get(ai, ()) if t <= until]
+        tmpl, first, shift = place[tid]
+        until -= shift
+        return [(first + pos, coef) for ai in arc_indexes
+                for t, pos in tmpl.runs.get(ai, ()) if t <= until]
 
     # Objective: expansion costs, minus a reward for each departure of an
     # optional train (constant-shifted so the optimum equals expansion plus
@@ -265,13 +316,20 @@ def build(instance) -> ConstraintSystem:
     # emitted; the expansion term keys a repeated window to its arc, and a
     # kept row is named after the first scenario and start that produced it.
     last = horizon - window + 1
+    starts = {}  # (template, shift) -> arc -> [(window start, slot position)]
+    for tmpl, _first, shift in place.values():
+        if (tmpl, shift) not in starts:
+            starts[tmpl, shift] = {
+                ai: [(t0, pos) for t, pos in slots
+                     for t0 in range(max(0, t + shift - window + 1), min(t + shift, last) + 1)]
+                for ai, slots in tmpl.runs.items()}
     for ai, arc in enumerate(net.arcs):
         for sc in scenarios:
             windows = [[] for _ in range(last + 1)]
             for tid in sc.train_ids:
-                for t, vid in runs[tid].get(ai, ()):
-                    for t0 in range(max(0, t - window + 1), min(t, last) + 1):
-                        windows[t0].append((vid, 1))
+                tmpl, first, shift = place[tid]
+                for t0, pos in starts[tmpl, shift].get(ai, ()):
+                    windows[t0].append((first + pos, 1))
             for t0, terms in enumerate(windows):
                 if len(terms) > arc.capacity:
                     terms.append((ai, -arc.expandable_capacity))
@@ -282,9 +340,10 @@ def build(instance) -> ConstraintSystem:
     # window and every slot into the destination arrives in it.  A mandatory
     # train departs exactly once and an optional one at most once, so with
     # flow conservation a train's route variables form one walk.  That
-    # implies the arrival row.  It is kept; the seed-1 benchmark nodes with
-    # and without it are mixed: 101 / 103 (x3c), 148 / 144 (corridor) and
-    # 56 / 56 (scenarios).
+    # implies the arrival row.  It is kept, since the benchmark's node counts
+    # with / without it are mixed: 115 / 115 (x3c), 144 / 148 (corridor) and
+    # 56 / 58 (scenarios) at seed 1; 109 / 105, 146 / 144 and 20 / 20 at
+    # seed 23.
     for tid in sorted(trains):
         tr = trains[tid]
         deps = route_terms(tid, arcs_out.get(tr.origin, []))
@@ -310,30 +369,34 @@ def build(instance) -> ConstraintSystem:
         if net.headways.default <= 0 and arc.key not in hw_arcs:
             continue
         for v1, v2 in pairs:
-            run1, run2 = runs[v1].get(ai), runs[v2].get(ai)
+            tmpl1, first1, shift1 = place[v1]
+            tmpl2, first2, shift2 = place[v2]
+            run1, run2 = tmpl1.runs.get(ai), tmpl2.runs.get(ai)
             if not run1 or not run2:
                 continue
             M = net.headways.get(arc.frm, arc.to, v1, v2)
             if M <= 0:
                 continue
             prefix = f"hw_{arc_tag[ai]}_{tag[v1]}_{tag[v2]}"
-            for t1, x1 in run1:
-                for t2, x2 in run2:
+            for t1, pos1 in run1:
+                t1 += shift1
+                for t2, pos2 in run2:
+                    t2 += shift2
                     if t1 >= t2:
                         continue
                     if t2 - t1 >= M:  # later t2 only widen the gap
                         break
-                    sys.rows.append(headway_row(M, t1, t2, x1, x2,
+                    sys.rows.append(headway_row(M, t1, t2, first1 + pos1, first2 + pos2,
                                                 name=name(f"{prefix}_{t1}_{t2}")))
 
     # Flow conservation at every time node of the train's slots except its
     # own origin and destination; dwell appears on both sides when enabled.
     for tid in sorted(trains):
-        flow = flows[tid]
-        for pos, t in sorted(flow):
-            terms = [(vid, coef) for _key, vid, coef in sorted(flow[pos, t])]
-            sys.rows.append(LinearRow(terms, "=", 0,
-                                      name(f"flow_{tag[tid]}_{tag[net.nodes[pos].id]}_{t}")))
+        tmpl, first, shift = place[tid]
+        tt = tag[tid]
+        names = name.many([f"flow_{tt}{mid}{t + shift}" for mid, t, _terms in tmpl.flows])
+        sys.rows += [LinearRow([(first + pos, coef) for pos, coef in terms], "=", 0, row_name)
+                     for (_mid, _t, terms), row_name in zip(tmpl.flows, names)]
 
     # Connections, in cumulative form: arrivals of the feeder at the station
     # up to t dominate departures of the connecting train up to t.  Only a
@@ -343,9 +406,9 @@ def build(instance) -> ConstraintSystem:
     for c in instance.connections:
         prefix = f"conn_{tag[c.station]}_{tag[c.feeder]}_{tag[c.connecting]}"
         feeds = [(t + net.arcs[ai].travel_time, vid) for ai in arcs_in.get(c.station, [])
-                 for t, vid in runs[c.feeder].get(ai, ())]
+                 for t, vid in run(c.feeder, ai)]
         outs = arcs_out.get(c.station, [])
-        for t in sorted({t for ai in outs for t, _ in runs[c.connecting].get(ai, ())}):
+        for t in sorted({t for ai in outs for t, _ in run(c.connecting, ai)}):
             terms = [(vid, 1) for at, vid in feeds if at <= t]
             terms += route_terms(c.connecting, outs, -1, until=t)
             emit_once(terms, ">=", 0, f"{prefix}_{t}")

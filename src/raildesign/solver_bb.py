@@ -154,18 +154,24 @@ def _lp_model(rows, nvars, cost):
     change only the column bounds, so each run warm-starts from the basis of
     the one before.  ValueError on a row that lists a variable twice.
     """
-    start, col_of, val_of, row_lo, row_up = [0], [], [], [], []
-    for row in rows:
-        if not row.terms:
-            continue
-        cols, vals = zip(*row.terms)
-        if len(set(cols)) != len(cols):
-            raise ValueError(f"duplicate variable in row {row.name}")
-        start.append(start[-1] + len(cols))
-        col_of += cols
-        val_of += vals
-        row_lo.append(-_highs.kHighsInf if row.sense == "<=" else row.rhs)
-        row_up.append(_highs.kHighsInf if row.sense == ">=" else row.rhs)
+    rows = [row for row in rows if row.terms]
+    lengths = [len(row.terms) for row in rows]
+    cols = _np.array([v for row in rows for v, _ in row.terms], dtype=_np.int64)
+    vals = _np.array([c for row in rows for _, c in row.terms], dtype=float)
+    if len(cols):
+        # (row, column) as one sortable key; equal neighbours are a repeat
+        low = int(cols.min())
+        span = int(cols.max()) - low + 1
+        key = _np.repeat(_np.arange(len(rows), dtype=_np.int64), lengths) * span + (cols - low)
+        key.sort()
+        repeats = key[1:][key[1:] == key[:-1]]
+        if len(repeats):
+            raise ValueError(f"duplicate variable in row {rows[repeats[0] // span].name}")
+    start = _np.zeros(len(rows) + 1, dtype=_np.int32)
+    _np.cumsum(lengths, out=start[1:])
+    inf = _highs.kHighsInf
+    row_lo = [-inf if row.sense == "<=" else row.rhs for row in rows]
+    row_up = [inf if row.sense == ">=" else row.rhs for row in rows]
     cost = _np.asarray(cost, dtype=float)
     if cost.shape != (nvars,):  # passModel reads nvars costs from its buffer
         raise ValueError(f"cost has shape {cost.shape}, not ({nvars},)")
@@ -175,11 +181,10 @@ def _lp_model(rows, nvars, cost):
     # passModel's array form takes the NumPy arrays as they are; a HighsLp's
     # fields would copy them in element by element
     status = model.passModel(
-        nvars, len(row_lo), len(col_of), _highs.MatrixFormat.kRowwise,
+        nvars, len(rows), len(cols), _highs.MatrixFormat.kRowwise,
         _highs.ObjSense.kMinimize, 0.0, cost, _np.zeros(nvars), _np.ones(nvars),
         _np.array(row_lo, dtype=float), _np.array(row_up, dtype=float),
-        _np.array(start, dtype=_np.int32), _np.array(col_of, dtype=_np.int32),
-        _np.array(val_of, dtype=float),
+        start, cols.astype(_np.int32), vals,
         _np.zeros(nvars, dtype=_np.int32))  # integrality: every column continuous
     if status == _highs.HighsStatus.kError:
         raise RuntimeError("HiGHS rejected the LP")

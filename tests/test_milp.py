@@ -76,10 +76,18 @@ def test_expand_keeps_exactly_the_slots_of_some_walk():
 WINDOW_FIELDS = ("origin", "destination", "earliest_departure", "latest_arrival")
 
 
+def window_shape(train, horizon):
+    """What ``milp.build`` expands once: origin, destination and width."""
+    return (train.origin, train.destination,
+            min(train.latest_arrival, horizon) - train.earliest_departure)
+
+
 def shared_window_draws(n=150):
     """``random_walk_instance`` networks whose 2-5 mandatory trains each copy
-    the first drawn train and redraw 0-2 of its window fields, so some trains
-    share all four and some share only part of them."""
+    the first drawn train and then redraw 0-2 of its window fields, move its
+    window to another departure, or set its latest arrival past the horizon;
+    so some trains share all four fields, some only part of them, and some
+    only the origin, destination and window width."""
     rng = random.Random(15)
     while n:
         inst = random_walk_instance(rng)
@@ -91,13 +99,21 @@ def shared_window_draws(n=150):
             fields = {"origin": base.origin, "destination": base.destination,
                       "earliest_departure": base.earliest_departure,
                       "latest_arrival": base.latest_arrival}
-            for f in rng.sample(WINDOW_FIELDS, rng.randint(0, 2)):
-                if f in ("origin", "destination"):
-                    fields[f] = rng.choice(names)
-                elif f == "earliest_departure":
-                    fields[f] = rng.randint(0, 2)
-                else:
-                    fields[f] = rng.randint(fields["earliest_departure"] + 1, inst.horizon)
+            kind = rng.choice(("redraw", "redraw", "shift", "late"))
+            if kind == "shift":
+                width = window_shape(base, inst.horizon)[2]
+                dep = rng.randint(0, inst.horizon - width)
+                fields.update(earliest_departure=dep, latest_arrival=dep + width)
+            elif kind == "late":
+                fields["latest_arrival"] = inst.horizon + rng.randint(1, 3)
+            else:
+                for f in rng.sample(WINDOW_FIELDS, rng.randint(0, 2)):
+                    if f in ("origin", "destination"):
+                        fields[f] = rng.choice(names)
+                    elif f == "earliest_departure":
+                        fields[f] = rng.randint(0, 2)
+                    else:
+                        fields[f] = rng.randint(fields["earliest_departure"] + 1, inst.horizon)
             trains.append(dataclasses.replace(base, id=f"T{k}", **fields))
         inst = dataclasses.replace(inst, trains=tuple(trains), connections=(),
                                    scenarios=())
@@ -107,13 +123,19 @@ def shared_window_draws(n=150):
 
 
 def test_trains_sharing_a_window_get_the_slots_of_their_own_expansion():
-    shared = {"all": 0, "part": 0}
+    # every train's variables are the slots ``expand`` gives it on its own,
+    # whether build stamped them from a window it shares in full, from one
+    # of the same shape at another departure, or from its own
+    shared = {"all": 0, "part": 0, "shifted": 0, "late": 0}
     for inst in shared_window_draws():
         keys = [tuple(getattr(t, f) for f in WINDOW_FIELDS) for t in inst.trains]
-        for k1, k2 in itertools.combinations(keys, 2):
+        for (k1, t1), (k2, t2) in itertools.combinations(zip(keys, inst.trains), 2):
             same = sum(a == b for a, b in zip(k1, k2))
             shared["all"] += same == 4
             shared["part"] += 0 < same < 4
+            shared["shifted"] += (window_shape(t1, inst.horizon) == window_shape(t2, inst.horizon)
+                                  and t1.earliest_departure != t2.earliest_departure)
+        shared["late"] += sum(t.latest_arrival > inst.horizon for t in inst.trains)
         system = milp.build(inst)
         for train in inst.trains:
             mine = [m for m in system.variables if m.train == train.id]
@@ -138,8 +160,9 @@ def expanded_trains(monkeypatch, inst):
 
 
 def test_one_expansion_per_distinct_train_window(monkeypatch):
-    # x3c trains are 3q copies of one window; corridor trains with distinct
-    # departures each have their own
+    # x3c trains are 3q copies of one window; staggered corridor trains with
+    # windows of one width share one expansion, moved to each departure,
+    # and trains of that width from another origin get their own
     inst, _ = reduction.x3c_to_instance(reduction.gen_random_x3c(3, 5, 1))
     assert len(inst.trains) == 9 and expanded_trains(monkeypatch, inst) == ["T00"]
     corridor = corridor_instance(3, 4, 6)
@@ -147,7 +170,11 @@ def test_one_expansion_per_distinct_train_window(monkeypatch):
         dataclasses.replace(t, earliest_departure=k, latest_arrival=k + 6)
         for k, t in enumerate(corridor.trains)), horizon=11)
     assert validate_instance(corridor).ok
-    assert expanded_trains(monkeypatch, corridor) == [t.id for t in corridor.trains]
+    assert expanded_trains(monkeypatch, corridor) == ["T00"]
+    corridor = dataclasses.replace(corridor, trains=corridor.trains + tuple(
+        mk_train(f"U{k}", "S1", "S3", k, k + 6) for k in (0, 2)))
+    assert validate_instance(corridor).ok
+    assert expanded_trains(monkeypatch, corridor) == ["T00", "U0"]
 
 
 # -- build: variables and objective ------------------------------------------
@@ -469,10 +496,22 @@ def families_instance():
                     capacity_window=2, allow_dwell=True)
 
 
+def staggered_instance():
+    """A corridor S0..S3 with dwell whose trains depart 0, 1, 2 and 2: T00's
+    and T01's windows are 6 wide, and T02's ends past the horizon 7, so
+    clipped to it, it is 5 wide like T03's."""
+    corridor = corridor_instance(2, 4, 4)
+    windows = [(0, 6), (1, 7), (2, 9), (2, 7)]
+    return dataclasses.replace(corridor, horizon=7, trains=tuple(
+        dataclasses.replace(t, earliest_departure=dep, latest_arrival=arr)
+        for t, (dep, arr) in zip(corridor.trains, windows)))
+
+
 @pytest.mark.parametrize("inst, golden", [
     (line_instance(c=1, ce=1, k=5, n_trains=1, horizon=2, window=1, dwell=False), "tiny.lp"),
     (families_instance(), "families.lp"),
-], ids=["tiny", "families"])
+    (staggered_instance(), "staggered.lp"),
+], ids=["tiny", "families", "staggered"])
 def test_export_golden(inst, golden):
     assert milp.export_lp(milp.build(inst)) == (DATA / golden).read_text()
 

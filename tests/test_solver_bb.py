@@ -398,6 +398,44 @@ def test_lp_model_rejects_what_highs_cannot_read():
         solver_bb._lp_model([LinearRow([(5, 1)], "<=", 1, "r")], 2, np.zeros(2))
 
 
+def test_lp_model_holds_the_rows_as_a_row_by_row_reading_does():
+    # the rows are flattened in one pass; read one row at a time instead,
+    # the first non-empty row that lists a variable twice is the one named,
+    # and otherwise HiGHS holds each non-empty row's coefficients and bounds
+    rng = random.Random(19)
+    inf = solver_bb._highs.kHighsInf
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        rows = [LinearRow([(rng.randrange(n), Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                           for _ in range(rng.randint(0, 4))],
+                          rng.choice(["<=", ">=", "="]), Fraction(rng.randint(-4, 4), 2), f"r{r}")
+                for r in range(rng.randint(0, 5))]
+        kept = [row for row in rows if row.terms]
+        repeats = [row.name for row in kept if len({v for v, _ in row.terms}) < len(row.terms)]
+        if repeats:
+            with pytest.raises(ValueError, match=f"duplicate variable in row {repeats[0]}$"):
+                solver_bb._lp_model(rows, n, np.zeros(n))
+            continue
+        lp = solver_bb._lp_model(rows, n, np.zeros(n)).getLp()
+        a = lp.a_matrix_
+        dense = np.zeros((lp.num_row_, lp.num_col_))
+        for outer in range(len(a.start_) - 1):
+            for k in range(a.start_[outer], a.start_[outer + 1]):
+                if a.format_ == solver_bb._highs.MatrixFormat.kColwise:
+                    dense[a.index_[k], outer] = a.value_[k]
+                else:
+                    dense[outer, a.index_[k]] = a.value_[k]
+        want = np.zeros((len(kept), n))
+        for r, row in enumerate(kept):
+            for v, c in row.terms:
+                want[r, v] = float(c)
+        assert (dense == want).all()
+        assert list(lp.row_lower_) == [-inf if row.sense == "<=" else float(row.rhs)
+                                       for row in kept]
+        assert list(lp.row_upper_) == [inf if row.sense == ">=" else float(row.rhs)
+                                       for row in kept]
+
+
 def test_highs_loads_without_scipy_optimize():
     out = run_fresh("import sys\n"
                     "from raildesign import solver_bb\n"

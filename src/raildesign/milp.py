@@ -10,20 +10,27 @@ earliest departure, up to a shift in time: ``build`` expands each distinct
 (origin, destination, width) once, for a train that departs at 0, into a
 template, and stamps every train of that shape from it, numbering the
 variables from the train's first id and shifting the times by its earliest
-departure.  Row families, in emission order: capacity, departure,
-arrival, headway, flow conservation, connections, VIA.
+departure.  Row families, in emission order: capacity, forced expansion,
+departure, arrival, headway, flow conservation, connections, VIA.
 
-Each distinct row is emitted once, under one rule: a capacity, departure,
-arrival, connection or VIA row with the sense, right-hand side and terms
-of an earlier row is not emitted (a capacity window with the train terms
-of an earlier window on the arc, a connection listed twice, a VIA node
-from which every walk goes straight to the destination).  Flow and
-headway rows are distinct by construction.  No row that the others and
-the 0-1 bounds already imply is emitted either: a capacity window with no
-more train terms than the arc's capacity; a second headway row set for a
-pair of trains that shares several scenarios; a connection row at a time
-when the connecting train cannot depart.  The dropped rows cut off no 0-1
-point and no point of the LP relaxation, so every optimum stays the same.
+Each distinct row is emitted once, under one rule: a capacity, forced
+expansion, departure, arrival, connection or VIA row with the sense,
+right-hand side and terms of an earlier row is not emitted (a capacity
+window with the train terms of an earlier window on the arc, a connection
+listed twice, a VIA node from which every walk goes straight to the
+destination).  Flow and headway rows are distinct by construction.  No
+row that the others and the 0-1 bounds already imply is emitted either: a
+capacity window with no more train terms than the arc's capacity; a second
+headway row set for a pair of trains that shares several scenarios; a
+connection row at a time when the connecting train cannot depart.  The
+dropped rows cut off no 0-1 point and no point of the LP relaxation, so
+every optimum stays the same.
+
+One family is added rather than dropped: ``force_<from>_<to>``, b >= 1 on
+an arc whose expansion a count of trains proves necessary (b >= 2 when
+even the expansion cannot carry them).  These rows cut off points of the LP
+relaxation, which is what they are for, but no 0-1 point, so every optimum
+stays the same here too.
 
 Rows find their terms in the template's slot index, filed once per
 template with slot positions where variable ids go: the (departure,
@@ -177,6 +184,7 @@ class _Template:
     slots: list  # of (kind, arc index, node, t, name head, name middle), in variable order
     runs: dict  # arc index -> [(departure t, position)], ascending in t
     flows: list  # of (name middle, t, [(position, coefficient)]), in row order
+    must: list  # of (arc index, first departure t, last departure t): arcs on every walk
 
 
 def _template(net, train, width, allow_dwell, node_pos, tag, arc_tag):
@@ -185,7 +193,8 @@ def _template(net, train, width, allow_dwell, node_pos, tag, arc_tag):
     (arrivals by arc, the dwell in, departures by arc, the dwell out), sorted
     by (node position, t).  No slot enters the origin or leaves the
     destination, so only the origin's departures and the destination's
-    arrivals stay unfiled: neither place has a flow row."""
+    arrivals stay unfiled: neither place has a flow row.  Also lists the
+    arcs that every walk of the train uses."""
     at_zero = replace(train, earliest_departure=0, latest_arrival=width)
     movements, dwells = expand(net, width, at_zero, allow_dwell)
     n_arcs = len(net.arcs)
@@ -206,9 +215,26 @@ def _template(net, train, width, allow_dwell, node_pos, tag, arc_tag):
             slots.append(("dwell", None, node, t, "w_", f"_{tag[node]}_"))
             flows[idx, t].append((2 * n_arcs + 1, pos, -1))
             flows[idx, t + 1].append((n_arcs, pos, 1))
+    # The arcs on every walk, as bits of arc indexes: from each time node,
+    # those on every walk on to the destination, which has none.  Every slot
+    # ends later than it starts, so one pass from the last slot settles a
+    # time node before any slot into it; the origin's departures at all times
+    # meet in one key.
+    every = {}
+    for kind, ai, node, t, _head, _mid in reversed(slots):
+        if kind == "route":
+            arc = net.arcs[ai]
+            tail, after = arc.frm, every.get((arc.to, t + arc.travel_time), 0) | 1 << ai
+        else:
+            tail, after = node, every.get((node, t + 1), 0)
+        key = None if tail == train.origin else (tail, t)
+        every[key] = every.get(key, -1) & after
+    on_all = every.get(None, 0)
     return _Template(slots, runs, [
         (f"_{tag[net.nodes[p].id]}_", t, [(pos, coef) for _key, pos, coef in sorted(flows[p, t])])
-        for p, t in sorted(flows)])
+        for p, t in sorted(flows)],
+        [(ai, runs[ai][0][0], runs[ai][-1][0]) for ai in range(on_all.bit_length())
+         if on_all >> ai & 1])
 
 
 def build(instance) -> ConstraintSystem:
@@ -336,14 +362,48 @@ def build(instance) -> ConstraintSystem:
                     emit_once(terms, "<=", arc.capacity,
                               f"cap_{arc_tag[ai]}_{tag[sc.id]}_{t0}")
 
+    # Forced expansions, by counting.  A mandatory train departs once, and its
+    # route variables form one walk, so a train whose template has arc ai on
+    # every walk (``_Template.must``) departs on it at least once within
+    # [lo, hi], its first and last departure there.  If n such trains of one
+    # scenario have their [lo, hi] inside [t1, t2], the k = ceil((t2 - t1 + 1)
+    # / window) windows from t1 on, starts clipped to ``last``, cover all of
+    # them, so n <= k * (capacity + expandable * b).  So b = 1 when n > k *
+    # capacity, and no 0-1 point exists when n > k * (capacity + expandable),
+    # which the row b >= 2 tells the LP and propagation alike.  Each arc gets
+    # one ``force_`` row, from its largest right-hand side.
+    force = {}  # arc index -> 1 or 2
+    # (a window longer than horizon + 1, which validation rejects, has no
+    # start and so no capacity row to count against)
+    for sc in scenarios if last >= 0 else ():
+        spans = defaultdict(list)  # arc index -> [(hi, lo)] of the counted trains
+        for tid in sc.train_ids:
+            tmpl, _first, shift = place[tid]
+            if not trains[tid].optional:
+                for ai, lo, hi in tmpl.must:
+                    spans[ai].append((hi + shift, lo + shift))
+        for ai, ends in spans.items():
+            arc = net.arcs[ai]
+            c, ce = arc.capacity, arc.capacity + arc.expandable_capacity
+            ends.sort()
+            for t1 in {lo for _hi, lo in ends}:
+                n = 0
+                for t2, lo in ends:
+                    if lo >= t1:
+                        n += 1
+                        k = (t2 - t1 + window) // window  # ceil((t2 - t1 + 1) / window)
+                        if n > k * c:
+                            force[ai] = 2 if n > k * ce else force.get(ai, 1)
+    for ai in sorted(force):
+        emit_once([(ai, 1)], ">=", force[ai], f"force_{arc_tag[ai]}")
+
     # Departure and arrival.  Every slot out of the origin departs in the
     # window and every slot into the destination arrives in it.  A mandatory
     # train departs exactly once and an optional one at most once, so with
     # flow conservation a train's route variables form one walk.  That
     # implies the arrival row.  It is kept, since the benchmark's node counts
-    # with / without it are mixed: 115 / 115 (x3c), 144 / 148 (corridor) and
-    # 56 / 58 (scenarios) at seed 1; 109 / 105, 146 / 144 and 20 / 20 at
-    # seed 23.
+    # with / without it are mixed: 106 / 107 (x3c), 25 / 39 (corridor) and
+    # 38 / 39 (scenarios) at seed 1; 99 / 95, 25 / 29 and 20 / 20 at seed 23.
     for tid in sorted(trains):
         tr = trains[tid]
         deps = route_terms(tid, arcs_out.get(tr.origin, []))
@@ -376,6 +436,11 @@ def build(instance) -> ConstraintSystem:
                 continue
             M = net.headways.get(arc.frm, arc.to, v1, v2)
             if M <= 0:
+                continue
+            # the runs ascend in t: no row unless v2 departs after v1's first
+            # departure and less than M after its last
+            if (run2[-1][0] + shift2 <= run1[0][0] + shift1
+                    or run2[0][0] + shift2 - (run1[-1][0] + shift1) >= M):
                 continue
             prefix = f"hw_{arc_tag[ai]}_{tag[v1]}_{tag[v2]}"
             for t1, pos1 in run1:

@@ -17,9 +17,10 @@ every node's LP does.  When HiGHS reports it infeasible the solve returns
 rows nor the engine is built.  The verdict trusts HiGHS's status, as every
 LP prune below does; no exact certificate backs either yet.  Otherwise the
 engine is built, propagates the root and fixes the dominated columns, and
-the root keeps its LP result unless propagation fixed more, when it
-re-solves warm.  The limits count the root LP as node 1: ``node_limit=0``
-runs no LP, and a time limit reaches HiGHS before it.
+the root keeps its LP point when that point already has every value
+propagation fixed, since it then stays optimal; otherwise, or without a
+point, the root re-solves warm.  The limits count the root LP as node 1:
+``node_limit=0`` runs no LP, and a time limit reaches HiGHS before it.
 
 The linear relaxation is solved at every node with HiGHS, which comes from
 SciPy's compiled ``optimize/_highspy/_core`` extension, loaded from its file
@@ -47,7 +48,10 @@ costs plus all still-collectable negative objective coefficients, weak but
 admissible -- and branches on its first free variable.
 
 A node is pruned only when its bound reaches the incumbent, so ``optimal``
-reports a bound equal to the objective.  The model lets each train depart
+reports a bound equal to the objective.  A node's bound is never below its
+parent's, so a child whose parent's bound already reaches the incumbent is
+dropped when it is popped, before propagation and before its LP, and is not
+counted as a node.  The model lets each train depart
 at most once, so every feasible assignment routes each train on one walk;
 ``extract_solution`` reads it back and raises ``DecodeError`` on anything
 else.
@@ -275,6 +279,8 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     stack = [(0, None, None, trivial_bound())]
     while stack:
         mark, var, val, parent_bound = stack.pop()
+        if incumbent is not None and parent_bound >= incumbent_obj:
+            continue  # a node's bound is never below its parent's
         if engine is not None:
             engine.backtrack(mark)
             if var is not None and not engine.assign(var, val):
@@ -301,9 +307,11 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                 continue
             for v in dominated:
                 engine.assign(v, 1)  # raises no minimum activity: never a conflict
-            if values.count(FREE) + len(dominated) < nvars:
-                # propagation fixed more: re-solve warm under its fixings
-                state = _np.array(values)
+            state = _np.array(values)
+            fixed = state != FREE
+            if res.status != 0 or (res.x[fixed] != state[fixed]).any():
+                # propagation fixed a variable away from the LP point, or there
+                # is no point: re-solve warm under its fixings
                 res = _linprog(lp, state == 1, state != 0)
                 lp_calls += 1
         if res.status == 2:

@@ -514,3 +514,33 @@ def random_walk_instance(rng: random.Random):
                         capacity_window=rng.randint(1, 2), allow_dwell=rng.random() < 0.5)
         if validate_instance(inst).ok:
             return inst
+
+
+def bunched_line_instance(rng: random.Random):
+    """Tiny valid instance for ``walk_oracle`` on which counting forces
+    expansions: a line of 3-4 stations with travel times 1-2, capacity 0-1
+    and mostly 1 expandable, capacity window 1-3, and 3-4 trains from the
+    first station to the last that depart within two steps of each other
+    with slack 0-2.  About a quarter of the trains are optional, and two
+    scenarios hold all trains but the last and all but the first."""
+    while True:
+        names = [f"S{i}" for i in range(rng.randint(3, 4))]
+        net = mk_network([(a, b, rng.randint(1, 2), rng.randint(0, 1),
+                           int(rng.random() < 0.8), rng.randint(1, 5))
+                          for a, b in zip(names, names[1:])])
+        run = sum(a.travel_time for a in net.arcs)
+        trains = []
+        for k in range(rng.randint(3, 4)):
+            dep = rng.randint(0, 2)
+            optional = rng.random() < 0.25
+            trains.append(mk_train(f"T{k}", names[0], names[-1], dep,
+                                   dep + run + rng.randint(0, 2), optional=optional,
+                                   penalty=rng.randint(1, 6) if optional else None))
+        ids = [t.id for t in trains]
+        inst = Instance(network=net, horizon=max(t.latest_arrival for t in trains),
+                        trains=tuple(trains),
+                        scenarios=(Scenario("S1", tuple(ids[:-1])),
+                                   Scenario("S2", tuple(ids[1:]))),
+                        capacity_window=rng.randint(1, 3), allow_dwell=rng.random() < 0.5)
+        if validate_instance(inst).ok:
+            return inst

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from helpers import line_instance, mk_network, mk_train, run_fresh
-from raildesign import cli
-from raildesign.model import Instance, load_solution, save_instance
+from raildesign import cli, milp, solver_bb
+from raildesign.model import Instance, load_instance, load_solution, save_instance
+
+DATA = Path(__file__).parent / "data"
 
 
 def write(tmp_path, inst, name="inst.json"):
@@ -86,6 +88,25 @@ def test_solve_limit_reports_bound(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_force_rows_lift_the_root_bound_to_the_optimum(capsys):
+    # a benchmark corridor: 8 trains over S0 -> S1 -> S2, two pairs of them
+    # bunched.  Counting forces both expansions, so the root LP bound (1
+    # without the force rows) is the optimum, 2, which the model without
+    # them confirms
+    path = str(DATA / "bunched_corridor.json")
+    assert cli.main(["export-lp", path]) == 0
+    forced = re.findall(r"^ (force_\w+): ", capsys.readouterr().out, re.M)
+    assert forced == ["force_S0_S1", "force_S1_S2"]
+    assert cli.main(["solve", path, "--node-limit", "1"]) == 3
+    assert capsys.readouterr().out == "status: limit_reached\nnodes: 1\nbound: 2\n"
+    system = milp.build(load_instance(path))
+    bare = dataclasses.replace(system, rows=[
+        row for row in system.rows if not row.name.startswith("force_")])
+    res = solver_bb.solve(bare)
+    assert (res.status, res.objective) == ("optimal", 2)
+    assert solver_bb.solve(bare, solver_bb.SolveLimits(node_limit=1)).bound == 1
+
+
 def test_solve_bad_file(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{]")
@@ -155,7 +176,7 @@ def test_sp_mode_takes_multi_arcs(tmp_path, capsys):
 def test_sp_multi_arc_solution_verifies(tmp_path, capsys):
     # both copies of s->t are expanded, each listed once; verify checks the
     # file that solve --mode sp writes
-    path = str(Path(__file__).parent / "data" / "sp_multi_arc.json")
+    path = str(DATA / "sp_multi_arc.json")
     out = str(tmp_path / "sol.json")
     assert cli.main(["solve", path, "--mode", "sp", "-o", out]) == 0
     assert "objective: 8\n" in capsys.readouterr().out
@@ -168,7 +189,7 @@ def test_sp_multi_arc_solution_verifies(tmp_path, capsys):
 def test_auto_falls_back_where_sp_declines(name, reason, capsys):
     # series-parallel networks where timing or scenarios matter: the SP
     # solver declines, and auto mode answers from the full model
-    path = str(Path(__file__).parent / "data" / f"{name}.json")
+    path = str(DATA / f"{name}.json")
     assert cli.main(["solve", path]) == 0
     printed = capsys.readouterr().out
     assert "status: optimal" in printed and "objective: 0\n" in printed

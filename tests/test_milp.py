@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (LpParseError, corridor_instance, line_instance, mk_network,
-                     mk_train, parse_lp, parsed_signature, random_walk_instance,
-                     rich_instance, system_signature, train_walks)
+from helpers import (LpParseError, bunched_line_instance, corridor_instance,
+                     line_instance, mk_network, mk_train, parse_lp, parsed_signature,
+                     random_walk_instance, rich_instance, system_signature, train_walks,
+                     walk_oracle)
 from raildesign import milp, reduction
 from raildesign.model import (ConnectionRequirement, HeadwayTable, Instance,
                               Scenario, Solution, validate_instance)
+from raildesign.solver_bb import solve
 from raildesign.verify import verify
 
 DATA = Path(__file__).parent / "data"
@@ -467,6 +469,91 @@ def test_presolve_capacity_rows():
                         (ai, t0, inst)
         # and no emitted row is other than one of those windows
         assert {(ai, r) for ai, rs in emitted.items() for r in rs} <= windows
+
+
+# -- forced expansions --------------------------------------------------------
+
+
+def force_rows(system):
+    return [(row.terms, row.sense, row.rhs, row.name) for row in system.rows
+            if row.name.startswith("force_")]
+
+
+def eight_step_line(n_trains, expandable=1, optional_last=False):
+    """Arc A->B (travel 1, capacity 1, expansion cost 5) and trains that may
+    depart at any of 0..7, an 8-step interval, under capacity window 2: the 4
+    windows from 0 on let 4 trains through unexpanded.  With
+    ``optional_last`` the last train is optional at penalty 3."""
+    net = mk_network([("A", "B", 1, 1, expandable, 5)])
+    trains = tuple(mk_train(f"T{i}", "A", "B", 0, 8,
+                            optional=optional_last and i == n_trains - 1,
+                            penalty=3 if optional_last and i == n_trains - 1 else None)
+                   for i in range(n_trains))
+    return Instance(network=net, horizon=8, trains=trains, capacity_window=2,
+                    allow_dwell=False)
+
+
+def test_counting_forces_an_expansion_on_an_eight_step_line():
+    forced = [([(0, 1)], ">=", 1, "force_A_B")]
+    five = milp.build(eight_step_line(5))
+    assert force_rows(five) == forced
+    res = solve(five)
+    assert (res.status, res.objective) == ("optimal", 5)
+    four = milp.build(eight_step_line(4))
+    assert force_rows(four) == []
+    assert solve(four).objective == 0
+    # unexpandable: 5 trains cannot pass, which b >= 2 states
+    closed = milp.build(eight_step_line(5, expandable=0))
+    assert force_rows(closed) == [([(0, 1)], ">=", 2, "force_A_B")]
+    assert solve(closed).status == "infeasible"
+    # an optional fifth train need not run, so only 4 count; dropping it
+    # (penalty 3) is cheaper than the expansion (5)
+    optional = milp.build(eight_step_line(5, optional_last=True))
+    assert force_rows(optional) == []
+    assert solve(optional).objective == 3
+
+
+def test_no_force_row_where_no_capacity_window_starts():
+    # an unvalidated window of 4 steps over a horizon of 2 has no start, so
+    # the arc has no capacity row, and two trains on a closed arc cost nothing
+    inst = line_instance(c=0, ce=1, k=5, n_trains=2, horizon=2, window=4)
+    assert not validate_instance(inst).ok
+    system = milp.build(inst)
+    assert force_rows(system) == []
+    assert solve(system).objective == 0
+
+
+def test_force_rows_agree_with_the_walk_oracle_on_bunched_lines():
+    # two scenarios, optional trains, windows 1-3: every answer equals the
+    # oracle's, which shares no code with milp
+    rng = random.Random(4)
+    n, forced, refuted = 150, 0, 0
+    for _ in range(n):
+        inst = bunched_line_instance(rng)
+        system = milp.build(inst)
+        rows = force_rows(system)
+        forced += bool(rows)
+        refuted += any(rhs == 2 for _terms, _sense, rhs, _name in rows)
+        res = solve(system)
+        assert (res.status, res.objective) == walk_oracle(inst), inst
+    # 132 and 81 of 150 draws
+    assert forced >= 3 * n // 4 and n // 4 <= refuted <= 3 * n // 4, (forced, refuted)
+
+
+def test_force_rows_leave_corridor_optima_unchanged():
+    # the benchmark's corridor shape: dropping the force rows again gives the
+    # same optimum on every draw
+    with_force = 0
+    for seed in range(12):
+        inst = corridor_instance(seed, 3 + seed % 3, 4 + seed % 4)
+        system = milp.build(inst)
+        with_force += bool(force_rows(system))
+        res = solve(system)
+        plain = dataclasses.replace(system, rows=[
+            row for row in system.rows if not row.name.startswith("force_")])
+        bare = solve(plain)
+        assert (res.status, res.objective) == (bare.status, bare.objective), seed
+    assert with_force >= 9, with_force
 
 
 def test_build_is_deterministic():

@@ -148,10 +148,34 @@ def test_limits_count_the_root_lp_as_node_one(monkeypatch):
 
 
 def test_limit_bound_counts_open_subtrees():
-    # the unlimited solve proves the optimum is 9, so no valid bound exceeds it
-    res = solve(x3c_system(3, 8, 4), SolveLimits(node_limit=10))
-    assert res.status == "limit_reached"
+    # the unlimited solve proves the optimum is 9, so no valid bound exceeds
+    # it, although the incumbent at the limit is 12
+    res = solve(x3c_system(3, 8, 4), SolveLimits(node_limit=8))
+    assert (res.status, res.objective) == ("limit_reached", 12)
     assert res.bound is not None and res.bound <= 9
+
+
+def test_a_child_whose_parent_bound_meets_the_incumbent_runs_no_lp(monkeypatch):
+    # 2 b0 + 2 b1 >= 1 at cost b0 + b1: the root LP bound is 1/2, rounded up
+    # to 1, and one variable is at 1/2.  Its child at 0 propagates the other
+    # to 1, a leaf of cost 1, so its sibling at 1 is pruned by the root's
+    # bound before propagation and before an LP
+    sys = ConstraintSystem()
+    for ai in range(2):
+        sys.add_var(VarMeaning("expand", arc_index=ai), f"b{ai}")
+        sys.objective.append((ai, 1))
+    sys.rows.append(LinearRow([(0, 2), (1, 2)], ">=", 1, "cover"))
+    linprog, fixed = solver_bb._linprog, []
+
+    def record(model, lb, ub):
+        fixed.append(sum(int(lo) for lo in lb) + sum(int(up == 0) for up in ub))
+        return linprog(model, lb, ub)
+
+    monkeypatch.setattr(solver_bb, "_linprog", record)
+    res = solve(sys)
+    assert (res.status, res.objective) == ("optimal", 1)
+    # the root LP fixes nothing and the first child's fixes both variables
+    assert (res.stats["nodes"], res.stats["lp_calls"], fixed) == (2, 2, [0, 2])
 
 
 def test_time_limit_overruns_by_at_most_one_lp(monkeypatch):
@@ -370,13 +394,13 @@ def test_infeasible_root_lp_builds_no_engine(monkeypatch, system):
     assert (res.stats["nodes"], res.stats["lp_calls"]) == (1, 1)
 
 
-def test_root_re_solves_when_propagation_fixes_more(monkeypatch):
-    # x0 >= 1 with cost 1: x0 is not dominated, but root propagation fixes it,
-    # so the root LP runs again under that fixing
+def _one_column_lower_bounds(monkeypatch, coef):
+    """Solve ``coef * x0 >= 1`` with cost 1; the answer and the lower column
+    bounds of every LP call."""
     sys = ConstraintSystem()
     sys.add_var(VarMeaning("expand", arc_index=0), "b0")
     sys.objective.append((0, 1))
-    sys.rows.append(LinearRow([(0, 1)], ">=", 1, "force"))
+    sys.rows.append(LinearRow([(0, coef)], ">=", 1, "force"))
     linprog, lower = solver_bb._linprog, []
 
     def record(model, lb, ub):
@@ -385,8 +409,19 @@ def test_root_re_solves_when_propagation_fixes_more(monkeypatch):
 
     monkeypatch.setattr(solver_bb, "_linprog", record)
     res = solve(sys)
-    assert (res.status, res.objective) == ("optimal", 1)
-    assert (res.stats["nodes"], res.stats["lp_calls"], lower) == (1, 2, [[0.0], [1.0]])
+    return (res.status, res.objective, res.stats["nodes"], res.stats["lp_calls"]), lower
+
+
+def test_root_re_solves_when_propagation_fixes_more(monkeypatch):
+    # 2 x0 >= 1 with cost 1: the root LP point is x0 = 1/2, and root
+    # propagation fixes x0 = 1, so the root LP runs again under that fixing
+    assert _one_column_lower_bounds(monkeypatch, 2) == (("optimal", 1, 1, 2), [[0.0], [1.0]])
+
+
+def test_root_keeps_its_lp_point_when_propagation_agrees(monkeypatch):
+    # x0 >= 1: propagation fixes x0 = 1, where the root LP point already has
+    # it, so that point stays optimal and the root runs one LP
+    assert _one_column_lower_bounds(monkeypatch, 1) == (("optimal", 1, 1, 1), [[0.0]])
 
 
 def test_lp_model_rejects_what_highs_cannot_read():

@@ -138,18 +138,33 @@ def cmd_gen_x3c(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def exit(self, status=0, message=None):  # argparse's 2 would read as infeasible
+        super().exit(status and EXIT_INPUT, message)
+
+
+def _at_least_zero(kind):
+    """An argparse type: a ``kind`` of at least 0, so not NaN."""
+    def parse(text):
+        value = kind(text)
+        if not value >= 0:
+            raise ValueError(text)  # argparse: "invalid <kind> value"
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="raildesign",
-                                description="Exact railway network design under "
-                                            "timetable constraints")
+    p = _Parser(prog="raildesign",
+                description="Exact railway network design under timetable constraints")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve an instance file")
     sp.add_argument("instance")
     sp.add_argument("--mode", choices=["auto", "milp", "arborescence", "sp"],
                     default="auto")
-    sp.add_argument("--time-limit", type=float, default=None)
-    sp.add_argument("--node-limit", type=int, default=None)
+    sp.add_argument("--time-limit", type=_at_least_zero(float), default=None)
+    sp.add_argument("--node-limit", type=_at_least_zero(int), default=None)
     sp.add_argument("-o", "--output", default=None, help="solution file to write")
     sp.set_defaults(func=cmd_solve)
 

@@ -16,15 +16,17 @@ departure, arrival, headway, flow conservation, connections, VIA.
 Each distinct row is emitted once, under one rule: a capacity, forced
 expansion, departure, arrival, connection or VIA row with the sense,
 right-hand side and terms of an earlier row is not emitted (a capacity
-window with the train terms of an earlier window on the arc, a connection
-listed twice, a VIA node from which every walk goes straight to the
-destination).  Flow and headway rows are distinct by construction.  No
-row that the others and the 0-1 bounds already imply is emitted either: a
+window with the train terms of an earlier window on the arc, an optional
+train's departures that repeat a capacity window, a connection listed
+twice, a VIA node from which every walk goes straight to the destination).
+Flow and headway rows are distinct by construction.  No row that the others and the 0-1 bounds already imply is emitted either: a
 capacity window with no more train terms than the arc's capacity; a second
 headway row set for a pair of trains that shares several scenarios; a
 connection row at a time when the connecting train cannot depart.  The
 dropped rows cut off no 0-1 point and no point of the LP relaxation, so
-every optimum stays the same.
+every optimum stays the same.  No term has coefficient 0, and a row
+without terms is emitted only when it cannot hold (a ``dep``, ``arr``,
+``conn`` or ``via`` row that no walk of the train meets).
 
 One family is added rather than dropped: ``force_<from>_<to>``, b >= 1 on
 an arc whose expansion a count of trains proves necessary (b >= 2 when
@@ -320,7 +322,7 @@ def build(instance) -> ConstraintSystem:
             sys.objective.append((ai, Fraction(arc.expansion_cost)))
     for tid in sorted(trains):
         tr = trains[tid]
-        if tr.optional:
+        if tr.optional and tr.penalty:
             sys.objective += route_terms(tid, arcs_out.get(tr.origin, []), -Fraction(tr.penalty))
             sys.objective_constant += Fraction(tr.penalty)
 
@@ -336,11 +338,11 @@ def build(instance) -> ConstraintSystem:
             sys.rows.append(LinearRow(terms, sense, rhs, name(base)))
 
     # Capacity: one row per (arc, scenario, window start), linearized as
-    # sum x - expandable * b <= capacity.  A departure at t counts in the
-    # windows starting at t - window + 1 .. t.  A window with at most
-    # `capacity` train terms always holds (x <= 1, b >= 0), so it is not
-    # emitted; the expansion term keys a repeated window to its arc, and a
-    # kept row is named after the first scenario and start that produced it.
+    # sum x - expandable * b <= capacity (no b term when expandable is 0).
+    # A departure at t counts in the windows starting at t - window + 1 .. t.
+    # A window with at most `capacity` train terms always holds (x <= 1,
+    # b >= 0), so it is not emitted, and a kept row is named after the first
+    # scenario and start that produced it.
     last = horizon - window + 1
     starts = {}  # (template, shift) -> arc -> [(window start, slot position)]
     for tmpl, _first, shift in place.values():
@@ -358,7 +360,8 @@ def build(instance) -> ConstraintSystem:
                     windows[t0].append((first + pos, 1))
             for t0, terms in enumerate(windows):
                 if len(terms) > arc.capacity:
-                    terms.append((ai, -arc.expandable_capacity))
+                    if arc.expandable_capacity:
+                        terms.append((ai, -arc.expandable_capacity))
                     emit_once(terms, "<=", arc.capacity,
                               f"cap_{arc_tag[ai]}_{tag[sc.id]}_{t0}")
 
@@ -408,7 +411,8 @@ def build(instance) -> ConstraintSystem:
         tr = trains[tid]
         deps = route_terms(tid, arcs_out.get(tr.origin, []))
         if tr.optional:
-            emit_once(deps, "<=", 1, f"dep_{tag[tid]}_once")
+            if deps:  # with no walk, 0 <= 1 holds
+                emit_once(deps, "<=", 1, f"dep_{tag[tid]}_once")
         else:
             emit_once(deps, "=", 1, f"dep_{tag[tid]}")
             emit_once(route_terms(tid, arcs_in.get(tr.destination, [])), ">=", 1,

@@ -1,8 +1,9 @@
 """Exact branch-and-bound over the 0-1 constraint system.
 
 Rows keep their coefficients as built, int or Fraction, and reach the
-propagation engine in ``raildesign._core_py`` in <= form (an equality as
-two rows) and HiGHS as they are.  Search is depth-first over a stack of
+propagation engine (``PropEngine``) in <= form (an equality as two rows)
+and HiGHS as they are.  HiGHS holds every row, an empty one too, so the LP
+and propagation see one row set.  Search is depth-first over a stack of
 open children: each is the parent's trail mark, a variable, a value and
 the parent's bound, and the preferred value is pushed last so it is tried
 first.  A node is a leaf once no variable is free; propagation has then
@@ -17,22 +18,21 @@ every node's LP does.  When HiGHS reports it infeasible the solve returns
 rows nor the engine is built.  The verdict trusts HiGHS's status, as every
 LP prune below does; no exact certificate backs either yet.  Otherwise the
 engine is built, propagates the root and fixes the dominated columns, and
-the root keeps its LP point when that point already has every value
-propagation fixed, since it then stays optimal; otherwise, or without a
-point, the root re-solves warm.  The limits count the root LP as node 1:
+the root keeps its LP point: its bound relaxes the root under fewer
+fixings, and an integral point is checked exactly, as at every node.  So
+``lp_calls`` equals ``nodes``.  The limits count the root LP as node 1:
 ``node_limit=0`` runs no LP, and a time limit reaches HiGHS before it.
 
-The linear relaxation is solved at every node with HiGHS, which comes from
-SciPy's compiled ``optimize/_highspy/_core`` extension, loaded from its file
-without importing ``scipy.optimize``; without that file the package import
-is the fallback.  Each solve builds one HiGHS LP, once, from the rows; a
-node only changes the column bounds to the engine's current fixings and
-re-runs, so dual simplex warm-starts from the previous node's basis.
-HiGHS runs with its presolve off.  ``milp.build`` has already left out
-every row the others imply, and on LPs this small HiGHS's presolve,
-postsolve and clean-up cost more than they save.  Only the cold solves
-change by this -- the root, and a node after ``clearSolver`` -- since HiGHS
-skips presolve when it starts from a valid basis anyway.
+The linear relaxation is solved at every node with HiGHS, from SciPy's
+compiled ``optimize/_highspy/_core`` extension (see ``_load_highs``).  Each
+solve builds one HiGHS LP, once, from the rows; a node only changes the
+column bounds to the engine's current fixings and re-runs, so dual simplex
+warm-starts from the previous node's basis.  HiGHS runs with its presolve
+off.  ``milp.build`` has already left out every row the others imply, and
+on LPs this small HiGHS's presolve, postsolve and clean-up cost more than
+they save.  Only the cold solves change by this -- the root, and a node
+after ``clearSolver`` -- since HiGHS skips presolve when it starts from a
+valid basis anyway.
 The relaxation supplies the lower bound, the branching variable, and
 integral vertices as incumbent candidates.  Branching is design first: the
 most fractional free expansion variable when any is fractional, otherwise
@@ -51,10 +51,9 @@ A node is pruned only when its bound reaches the incumbent, so ``optimal``
 reports a bound equal to the objective.  A node's bound is never below its
 parent's, so a child whose parent's bound already reaches the incumbent is
 dropped when it is popped, before propagation and before its LP, and is not
-counted as a node.  The model lets each train depart
-at most once, so every feasible assignment routes each train on one walk;
-``extract_solution`` reads it back and raises ``DecodeError`` on anything
-else.
+counted as a node.  The model lets each train depart at most once, so every
+feasible assignment routes each train on one walk; ``extract_solution``
+reads it back and raises ``DecodeError`` on anything else.
 """
 
 from __future__ import annotations
@@ -71,8 +70,81 @@ from math import lcm
 
 import numpy as _np
 
-from ._core_py import FREE, PropEngine
 from .model import RoutedStep, Solution
+
+FREE = -1
+
+
+class PropEngine:
+    """Propagation over <=-rows ``(cols, coefs, rhs)`` of 0-1 variables, with
+    int or Fraction coefficients compared exactly.  Per row it keeps the
+    minimum activity, the least left-hand side any completion of the fixings
+    can reach: past the right-hand side is a conflict, and a free variable
+    whose costly value would push it past is fixed the other way.  A trail of
+    the fixed variables lets the search backtrack."""
+
+    def __init__(self, nvars, rows):
+        self.rows = rows
+        self.watch = [[] for _ in range(nvars)]  # var -> [(row, coef)]
+        for r, (cols, coefs, _rhs) in enumerate(rows):
+            for v, c in zip(cols, coefs):
+                self.watch[v].append((r, c))
+        self.values = [FREE] * nvars
+        self.minact = [sum(c for c in coefs if c < 0) for _cols, coefs, _rhs in rows]
+        self.trail = []  # fixed variables, in order
+
+    def mark(self):
+        return len(self.trail)
+
+    def backtrack(self, mark):
+        while len(self.trail) > mark:
+            var = self.trail.pop()
+            one = self.values[var] == 1
+            self.values[var] = FREE
+            for r, c in self.watch[var]:
+                if (c > 0) == one:
+                    self.minact[r] -= abs(c)
+
+    def propagate_root(self):
+        """Initial feasibility and forcing pass; False means infeasible."""
+        return self._drain(list(range(len(self.rows))))
+
+    def assign(self, var, val):
+        """Fix var and propagate; False on conflict (state needs backtrack)."""
+        if self.values[var] != FREE:
+            return self.values[var] == val
+        queue = []
+        return self._fix(var, val, queue) and self._drain(queue)
+
+    def _fix(self, var, val, queue):
+        """Set var; queue every row whose minimum activity rises."""
+        self.values[var] = val
+        self.trail.append(var)
+        ok = True
+        for r, c in self.watch[var]:
+            if (c > 0) == (val == 1):
+                self.minact[r] += abs(c)
+                if self.minact[r] > self.rows[r][2]:
+                    ok = False
+                queue.append(r)
+        return ok
+
+    def _drain(self, queue):
+        values = self.values
+        while queue:
+            r = queue.pop()
+            cols, coefs, rhs = self.rows[r]
+            slack = rhs - self.minact[r]
+            if slack < 0:
+                return False
+            for v, c in zip(cols, coefs):
+                if values[v] != FREE or abs(c) <= slack:
+                    continue
+                if not self._fix(v, 0 if c > 0 else 1, queue):
+                    return False
+                slack = rhs - self.minact[r]
+        return True
+
 
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
@@ -158,7 +230,6 @@ def _lp_model(rows, nvars, cost):
     change only the column bounds, so each run warm-starts from the basis of
     the one before.  ValueError on a row that lists a variable twice.
     """
-    rows = [row for row in rows if row.terms]
     lengths = [len(row.terms) for row in rows]
     cols = _np.array([v for row in rows for v, _ in row.terms], dtype=_np.int64)
     vals = _np.array([c for row in rows for _, c in row.terms], dtype=float)
@@ -240,8 +311,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
 
     dominated = _dominated(system, obj)
     c_vec = _np.zeros(nvars)
-    for v, cf in obj.items():
-        c_vec[v] = float(cf)
+    c_vec[list(obj)] = [float(cf) for cf in obj.values()]
     lp = _lp_model(system.rows, nvars, c_vec)
     engine = None  # built at the root, once its LP is feasible
     values = [FREE] * nvars
@@ -273,8 +343,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             incumbent_obj = value
 
     # Open children as (parent's trail mark, variable, value, parent's bound);
-    # the root fixes nothing and has the trivial bound.  Each node runs one
-    # LP, the root at most two.
+    # the root fixes nothing and has the trivial bound.  Each node runs one LP.
     nodes = lp_calls = 0
     stack = [(0, None, None, trivial_bound())]
     while stack:
@@ -308,12 +377,6 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             for v in dominated:
                 engine.assign(v, 1)  # raises no minimum activity: never a conflict
             state = _np.array(values)
-            fixed = state != FREE
-            if res.status != 0 or (res.x[fixed] != state[fixed]).any():
-                # propagation fixed a variable away from the LP point, or there
-                # is no point: re-solve warm under its fixings
-                res = _linprog(lp, state == 1, state != 0)
-                lp_calls += 1
         if res.status == 2:
             continue
         # Without an LP optimum (a time-out or numeric trouble) the trivial
@@ -376,8 +439,10 @@ def extract_solution(instance, result: SolveResult) -> Solution:
     net = instance.network
     assignment = result.incumbent
 
+    # an arc that expansion does not widen is left out: its b is in no row
     expanded = [net.arcs[m.arc_index] for vid, m in enumerate(system.variables)
-                if m.kind == "expand" and assignment.get(vid) == 1]
+                if m.kind == "expand" and assignment.get(vid) == 1
+                and net.arcs[m.arc_index].expandable_capacity]
     expansion_total = sum((arc.expansion_cost for arc in expanded), Fraction(0))
 
     active = {}  # train -> list of (t, arc index)

@@ -66,6 +66,35 @@ def test_solve_infeasible(tmp_path):
     assert cli.main(["solve", write(tmp_path, inst)]) == 2
 
 
+def test_a_train_without_a_walk_is_refuted_by_the_root_lp(monkeypatch, capsys):
+    # T1 cannot reach D in its window, so its departure row reads 0 = 1; the
+    # file is no arborescence and has dwell, so both special cases decline
+    def no_engine(*args):
+        raise AssertionError("PropEngine built")
+
+    monkeypatch.setattr(solver_bb, "PropEngine", no_engine)
+    assert cli.main(["solve", str(DATA / "no_walk.json")]) == 2
+    assert capsys.readouterr().out == "status: infeasible\n"
+
+
+def test_a_malformed_command_line_exits_1(tmp_path, capsys):
+    # exit 2 is solve's "infeasible"; a command line that does not parse, or
+    # a limit below 0 or NaN, is an input error
+    path = write(tmp_path, line_instance(c=1, ce=0, k=0, n_trains=1))
+    for argv in (["solve", path, "--node-limit", "abc"], ["solve", path, "--mode", "bogus"],
+                 ["solve"], ["solve", path, "--node-limit", "-3"],
+                 ["solve", path, "--time-limit", "-1"], ["solve", path, "--time-limit", "nan"],
+                 ["gen-x3c", "--q", "two", "--subsets", "5", "--seed", "1", "-o", path],
+                 ["bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", "--help"])
+    assert exc.value.code == 0
+
+
 def test_solve_limit(tmp_path):
     inst = line_instance(c=0, ce=1, k=1, n_trains=2, horizon=2, dwell=False)
     assert cli.main(["solve", write(tmp_path, inst), "--node-limit", "0",

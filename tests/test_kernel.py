@@ -5,8 +5,7 @@ import itertools
 import random
 
 import raildesign
-from raildesign import _core_py, solver_bb
-from raildesign._core_py import FREE, PropEngine
+from raildesign.solver_bb import FREE, PropEngine
 
 
 def random_rows(rng, nvars):
@@ -79,7 +78,6 @@ def test_engine_is_sound_on_random_scripts():
 
 def test_backend_reports_itself():
     assert raildesign.BACKEND == "python"
-    assert solver_bb.PropEngine is _core_py.PropEngine
-    e = _core_py.PropEngine(1, [([0], [1], 0)])
+    e = PropEngine(1, [([0], [1], 0)])
     assert e.propagate_root()
     assert e.values[0] == 0  # coef 1 > slack 0 forces the variable to 0

@@ -331,17 +331,29 @@ def test_optional_train_objective_encoding():
 
 def test_every_train_departs_at_most_once():
     # a mandatory train departs exactly once, an optional one at most once,
-    # whatever VIA nodes or connections it has
+    # whatever VIA nodes or connections it has.  An optional train with no
+    # walk gets no row, since 0 <= 1 holds, and one whose departures are a
+    # capacity window of an arc that expansion does not widen shares that
+    # row, emitted before the dep_ rows
     rng = random.Random(5)
+    shared = 0
     for _ in range(100):
         inst = random_walk_instance(rng)
-        deps = {}
-        for row in milp.build(inst).rows:
-            if row.name.startswith("dep_"):
-                deps.setdefault(row.name, []).append((row.sense, row.rhs))
-        want = {(f"dep_{t.id}_once" if t.optional else f"dep_{t.id}"):
-                [("<=" if t.optional else "=", 1)] for t in inst.trains}
-        assert deps == want, inst
+        system = milp.build(inst)
+        rows = {(frozenset(r.terms), r.sense, r.rhs): r.name for r in system.rows}
+        want = set()
+        for t in inst.trains:
+            deps = frozenset((v, 1) for v, m in enumerate(system.variables)
+                             if m.train == t.id and m.kind == "route"
+                             and inst.network.arcs[m.arc_index].frm == t.origin)
+            if not t.optional:
+                want.add((deps, "=", 1))
+            elif deps:
+                want.add((deps, "<=", 1))
+        assert want <= rows.keys(), inst
+        assert {key for key, name in rows.items() if name.startswith("dep_")} <= want
+        shared += sum(rows[key].startswith("cap_") for key in want)
+    assert shared
 
 
 def test_expansion_variables_come_first():
@@ -447,10 +459,12 @@ def test_presolve_capacity_rows():
                 continue
             routes = frozenset(v for v, c in row.terms
                                if system.variables[v].kind == "route" and c == 1)
-            (ai, coef), = [(v, c) for v, c in row.terms if v not in routes]
-            assert system.variables[ai].kind == "expand"
-            assert (row.sense, row.rhs, coef) == ("<=", arcs[ai].capacity,
-                                                  -arcs[ai].expandable_capacity)
+            ai, = {system.variables[v].arc_index for v in routes}
+            ce = arcs[ai].expandable_capacity
+            # the expansion term, unless the expansion adds nothing
+            assert [(v, c) for v, c in row.terms if v not in routes] == (
+                [(ai, -ce)] if ce else [])
+            assert (row.sense, row.rhs) == ("<=", arcs[ai].capacity)
             assert len(routes) > arcs[ai].capacity, row.name
             emitted.setdefault(ai, set()).add(routes)
         members = [set(s.train_ids) for s in inst.scenarios] or [
@@ -469,6 +483,33 @@ def test_presolve_capacity_rows():
                         (ai, t0, inst)
         # and no emitted row is other than one of those windows
         assert {(ai, r) for ai, rs in emitted.items() for r in rs} <= windows
+
+
+def test_no_empty_row_holds_and_no_coefficient_is_zero():
+    # an empty row is one that no point meets, which the root LP refutes;
+    # a capacity row on an arc that expansion does not widen has no b term,
+    # and an optional train of penalty 0 has no objective terms
+    holds = {"<=": lambda rhs: 0 <= rhs, "=": lambda rhs: rhs == 0,
+             ">=": lambda rhs: 0 >= rhs}
+    x3c = [reduction.x3c_to_instance(reduction.gen_random_x3c(2, 5, seed, planted=True),
+                                     unit_capacity_encoding=unit)[0]
+           for seed in range(1, 4) for unit in (False, True)]
+    free_ride = line_instance(c=1, ce=0, k=2, n_trains=2)
+    free_ride = dataclasses.replace(free_ride, trains=(
+        free_ride.trains[0], dataclasses.replace(free_ride.trains[1], optional=True,
+                                                 penalty=Fraction(0))))
+    empty = unwidened = 0
+    for inst in itertools.chain(presolve_draws(), x3c, [free_ride]):
+        system = milp.build(inst)
+        assert all(c != 0 for _v, c in system.objective)
+        for row in system.rows:
+            assert all(c != 0 for _v, c in row.terms), row.name
+            if not row.terms:
+                empty += 1
+                assert not holds[row.sense](row.rhs), row.name
+            unwidened += row.name.startswith("cap_") and all(
+                system.variables[v].kind == "route" for v, _c in row.terms)
+    assert empty and unwidened
 
 
 # -- forced expansions --------------------------------------------------------
@@ -536,6 +577,7 @@ def test_force_rows_agree_with_the_walk_oracle_on_bunched_lines():
         refuted += any(rhs == 2 for _terms, _sense, rhs, _name in rows)
         res = solve(system)
         assert (res.status, res.objective) == walk_oracle(inst), inst
+        assert res.stats["lp_calls"] == res.stats["nodes"]
     # 132 and 81 of 150 draws
     assert forced >= 3 * n // 4 and n // 4 <= refuted <= 3 * n // 4, (forced, refuted)
 

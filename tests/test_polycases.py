@@ -370,6 +370,7 @@ def test_sp_series_blocks_decline_or_match_brute_force():
         except UnsupportedInstance:
             res = solver_bb.solve(milp.build(inst))
             assert res.status == ("infeasible" if want == INF else "optimal")
+            assert res.stats["lp_calls"] == res.stats["nodes"]
             assert want == INF or res.objective == want
             declined += 1
             continue

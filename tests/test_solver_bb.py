@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from helpers import (corridor_instance, enumerate_system, float_mip_objective,
                      run_fresh, two_arc_line, walk_oracle)
 from raildesign import milp, reduction, solver_bb
 from raildesign.milp import ConstraintSystem, LinearRow, VarMeaning
-from raildesign.model import Instance, RoutedStep, Scenario, Solution
+from raildesign.model import Instance, RoutedStep, Scenario, Solution, load_instance
 from raildesign.solver_bb import (DecodeError, SolveLimits, extract_solution,
                                   solve)
 from raildesign.verify import verify
+
+DATA = Path(__file__).parent / "data"
 
 
 def no_lp_answer(monkeypatch):
@@ -382,8 +385,10 @@ def test_persistent_lp_matches_linprog(system, root):
 
 
 @pytest.mark.parametrize("system", [x3c_system(2, 3, 2, planted=False),
-                                    x3c_system(3, 4, 1, planted=False)],
-                         ids=["x3c-unplanted-2-3", "x3c-unplanted-3-4"])
+                                    x3c_system(3, 4, 1, planted=False),
+                                    # a mandatory train with no walk: 0 = 1
+                                    milp.build(load_instance(DATA / "no_walk.json"))],
+                         ids=["x3c-unplanted-2-3", "x3c-unplanted-3-4", "no-walk"])
 def test_infeasible_root_lp_builds_no_engine(monkeypatch, system):
     def no_engine(*args):
         raise AssertionError("PropEngine built")
@@ -412,16 +417,13 @@ def _one_column_lower_bounds(monkeypatch, coef):
     return (res.status, res.objective, res.stats["nodes"], res.stats["lp_calls"]), lower
 
 
-def test_root_re_solves_when_propagation_fixes_more(monkeypatch):
-    # 2 x0 >= 1 with cost 1: the root LP point is x0 = 1/2, and root
-    # propagation fixes x0 = 1, so the root LP runs again under that fixing
-    assert _one_column_lower_bounds(monkeypatch, 2) == (("optimal", 1, 1, 2), [[0.0], [1.0]])
-
-
 def test_root_keeps_its_lp_point_when_propagation_agrees(monkeypatch):
     # x0 >= 1: propagation fixes x0 = 1, where the root LP point already has
-    # it, so that point stays optimal and the root runs one LP
-    assert _one_column_lower_bounds(monkeypatch, 1) == (("optimal", 1, 1, 1), [[0.0]])
+    # it.  2 x0 >= 1: the LP point is x0 = 1/2, and propagation fixes x0 = 1
+    # away from it; the root keeps that point's bound, which relaxes the
+    # fixing, and finds no variable left free.  Either way the root runs one LP.
+    for coef in (1, 2):
+        assert _one_column_lower_bounds(monkeypatch, coef) == (("optimal", 1, 1, 1), [[0.0]])
 
 
 def test_lp_model_rejects_what_highs_cannot_read():
@@ -435,8 +437,9 @@ def test_lp_model_rejects_what_highs_cannot_read():
 
 def test_lp_model_holds_the_rows_as_a_row_by_row_reading_does():
     # the rows are flattened in one pass; read one row at a time instead,
-    # the first non-empty row that lists a variable twice is the one named,
-    # and otherwise HiGHS holds each non-empty row's coefficients and bounds
+    # the first row that lists a variable twice is the one named, and
+    # otherwise HiGHS holds each row's coefficients and bounds, an empty
+    # row's too
     rng = random.Random(19)
     inf = solver_bb._highs.kHighsInf
     for _ in range(300):
@@ -445,8 +448,7 @@ def test_lp_model_holds_the_rows_as_a_row_by_row_reading_does():
                            for _ in range(rng.randint(0, 4))],
                           rng.choice(["<=", ">=", "="]), Fraction(rng.randint(-4, 4), 2), f"r{r}")
                 for r in range(rng.randint(0, 5))]
-        kept = [row for row in rows if row.terms]
-        repeats = [row.name for row in kept if len({v for v, _ in row.terms}) < len(row.terms)]
+        repeats = [row.name for row in rows if len({v for v, _ in row.terms}) < len(row.terms)]
         if repeats:
             with pytest.raises(ValueError, match=f"duplicate variable in row {repeats[0]}$"):
                 solver_bb._lp_model(rows, n, np.zeros(n))
@@ -460,15 +462,15 @@ def test_lp_model_holds_the_rows_as_a_row_by_row_reading_does():
                     dense[a.index_[k], outer] = a.value_[k]
                 else:
                     dense[outer, a.index_[k]] = a.value_[k]
-        want = np.zeros((len(kept), n))
-        for r, row in enumerate(kept):
+        want = np.zeros((len(rows), n))
+        for r, row in enumerate(rows):
             for v, c in row.terms:
                 want[r, v] = float(c)
         assert (dense == want).all()
         assert list(lp.row_lower_) == [-inf if row.sense == "<=" else float(row.rhs)
-                                       for row in kept]
+                                       for row in rows]
         assert list(lp.row_upper_) == [inf if row.sense == ">=" else float(row.rhs)
-                                       for row in kept]
+                                       for row in rows]
 
 
 def test_highs_loads_without_scipy_optimize():
@@ -539,6 +541,22 @@ def test_design_first_branching_on_corridors(monkeypatch, seed):
     assert abs(float_mip_objective(system) - res.objective) <= 1e-6
     no_lp_answer(monkeypatch)
     assert solve(system).objective == res.objective
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_unit_capacity_x3c_lists_only_arcs_that_expansion_widens(seed):
+    # the unit arcs carry capacity 1 and no expansion: their b is in no row
+    # and costs nothing, so it sits at 1, and the solution leaves it out
+    x3c = reduction.gen_random_x3c(2, 5, seed, planted=True)
+    inst, threshold = reduction.x3c_to_instance(x3c, unit_capacity_encoding=True)
+    res = solve(milp.build(inst))
+    sol = extract_solution(inst, res)
+    widened = {a.key for a in inst.network.arcs if a.expandable_capacity}
+    assert sol.expanded_arcs and set(sol.expanded_arcs) <= widened
+    default = reduction.x3c_to_instance(x3c)[0]
+    assert res.objective == sol.objective_value == solve(milp.build(default)).objective
+    assert sol.objective_value == threshold
+    assert verify(inst, sol) == []
 
 
 def test_extract_decodes_routes_in_order():
@@ -704,7 +722,9 @@ def test_matches_walk_oracle_on_random_instances(bound_mode, monkeypatch):
         else:
             # an infeasible root LP answers before the engine is built
             refuted_by.add("search" if built else "root LP")
+        assert res.stats["lp_calls"] == res.stats["nodes"], inst
         statuses.add(res.status)
     assert statuses == {"optimal", "infeasible"}
+    # the root LP holds every row, so it refutes every infeasible draw;
     # without LP answers only propagation and search refute
-    assert refuted_by == ({"root LP", "search"} if bound_mode == "lp" else {"search"})
+    assert refuted_by == ({"root LP"} if bound_mode == "lp" else {"search"})

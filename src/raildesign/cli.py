@@ -58,11 +58,15 @@ def _solve_with_mode(inst, mode, limits):
 def cmd_solve(args):
     from . import solver_bb  # NumPy and HiGHS load only for a solve
 
+    try:
+        limits = solver_bb.SolveLimits(time_limit=args.time_limit,
+                                       node_limit=args.node_limit)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     inst = _load_validated(args.instance)
     if inst is None:
         return EXIT_INPUT
-    limits = solver_bb.SolveLimits(time_limit=args.time_limit,
-                                   node_limit=args.node_limit)
     try:
         status, sol, result = _solve_with_mode(inst, args.mode, limits)
     except polycases.UnsupportedInstance as exc:
@@ -143,17 +147,6 @@ class _Parser(argparse.ArgumentParser):
         super().exit(status and EXIT_INPUT, message)
 
 
-def _at_least_zero(kind):
-    """An argparse type: a ``kind`` of at least 0, so not NaN."""
-    def parse(text):
-        value = kind(text)
-        if not value >= 0:
-            raise ValueError(text)  # argparse: "invalid <kind> value"
-        return value
-    parse.__name__ = kind.__name__
-    return parse
-
-
 def build_parser():
     p = _Parser(prog="raildesign",
                 description="Exact railway network design under timetable constraints")
@@ -163,8 +156,8 @@ def build_parser():
     sp.add_argument("instance")
     sp.add_argument("--mode", choices=["auto", "milp", "arborescence", "sp"],
                     default="auto")
-    sp.add_argument("--time-limit", type=_at_least_zero(float), default=None)
-    sp.add_argument("--node-limit", type=_at_least_zero(int), default=None)
+    sp.add_argument("--time-limit", type=float, default=None)
+    sp.add_argument("--node-limit", type=int, default=None)
     sp.add_argument("-o", "--output", default=None, help="solution file to write")
     sp.set_defaults(func=cmd_solve)
 

@@ -19,14 +19,15 @@ right-hand side and terms of an earlier row is not emitted (a capacity
 window with the train terms of an earlier window on the arc, an optional
 train's departures that repeat a capacity window, a connection listed
 twice, a VIA node from which every walk goes straight to the destination).
-Flow and headway rows are distinct by construction.  No row that the others and the 0-1 bounds already imply is emitted either: a
-capacity window with no more train terms than the arc's capacity; a second
-headway row set for a pair of trains that shares several scenarios; a
-connection row at a time when the connecting train cannot depart.  The
-dropped rows cut off no 0-1 point and no point of the LP relaxation, so
-every optimum stays the same.  No term has coefficient 0, and a row
-without terms is emitted only when it cannot hold (a ``dep``, ``arr``,
-``conn`` or ``via`` row that no walk of the train meets).
+Flow and headway rows are distinct by construction.  No row that the
+others and the 0-1 bounds already imply is emitted either: a capacity
+window with no more train terms than the arc's capacity; a second headway
+row set for a pair of trains that shares several scenarios; a connection
+row at a time when the connecting train cannot depart.  The dropped rows
+cut off no 0-1 point and no point of the LP relaxation, so every optimum
+stays the same.  No term has coefficient 0, and a row without terms is
+emitted only when it cannot hold (a ``dep``, ``arr``, ``conn`` or ``via``
+row that no walk of the train meets).
 
 One family is added rather than dropped: ``force_<from>_<to>``, b >= 1 on
 an arc whose expansion a count of trains proves necessary (b >= 2 when

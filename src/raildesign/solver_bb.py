@@ -6,27 +6,29 @@ and HiGHS as they are.  HiGHS holds every row, an empty one too, so the LP
 and propagation see one row set.  Search is depth-first over a stack of
 open children: each is the parent's trail mark, a variable, a value and
 the parent's bound, and the preferred value is pushed last so it is tried
-first.  A node is a leaf once no variable is free; propagation has then
-checked every row, so its values are an incumbent candidate.
+first.  Every incumbent passes one exact gate, ``consider``: a node's 0-1
+point must meet every row, with its sense, in exact arithmetic.  The
+point is the node's fixings when no variable is free, or the fixings and
+the rounded LP vertex when that is integral on the free variables.
 
-The root LP comes before any propagation is set up.  One pass over the
-signs of the rows finds the dominated columns (no positive coefficient in
-<= form, cost <= 0).  They start fixed at 1, which cuts off no 0-1
-optimum, and the root LP takes its column bounds from the fixings, as
-every node's LP does.  When HiGHS reports it infeasible the solve returns
-``infeasible`` with ``nodes`` 1 and ``lp_calls`` 1, and neither the <=
-rows nor the engine is built.  The verdict trusts HiGHS's status, as every
-LP prune below does; no exact certificate backs either yet.  Otherwise the
-engine is built, propagates the root and fixes the dominated columns, and
-the root keeps its LP point: its bound relaxes the root under fewer
-fixings, and an integral point is checked exactly, as at every node.  So
-``lp_calls`` equals ``nodes``.  The limits count the root LP as node 1:
-``node_limit=0`` runs no LP, and a time limit reaches HiGHS before it.
+The root LP comes first.  One pass over the signs of the rows finds the
+dominated columns (no positive coefficient in <= form, cost <= 0).  They
+start fixed at 1, which cuts off no 0-1 optimum, and the root LP takes
+its column bounds from the fixings, as every node's LP does, so
+``lp_calls`` equals ``nodes``.  An infeasible root LP answers
+``infeasible`` at node 1; that verdict trusts HiGHS's status, as every LP
+prune below does, and no exact certificate backs either yet.  The engine
+is built when a node first branches: it propagates every row (a conflict
+ends the node) and fixes the dominated columns, and then the children
+are pushed.  At seed 1, 14 of the 51 ``x3c``, 1 of the 24 ``corridor`` and
+4 of the 14 ``scenarios`` benchmark instances build it.  The limits count
+the root LP as node 1: ``node_limit=0`` runs no LP, and a time limit
+reaches HiGHS before it.
 
 The linear relaxation is solved at every node with HiGHS, from SciPy's
 compiled ``optimize/_highspy/_core`` extension (see ``_load_highs``).  Each
 solve builds one HiGHS LP, once, from the rows; a node only changes the
-column bounds to the engine's current fixings and re-runs, so dual simplex
+column bounds to the node's fixings and re-runs, so dual simplex
 warm-starts from the previous node's basis.  HiGHS runs with its presolve
 off.  ``milp.build`` has already left out every row the others imply, and
 on LPs this small HiGHS's presolve, postsolve and clean-up cost more than
@@ -39,13 +41,12 @@ most fractional free expansion variable when any is fractional, otherwise
 the most fractional free variable of any kind.  This is fixed-charge
 network design, so once the expansions are fixed only the feasibility of
 the routes is left to decide.
-Candidates and bounds are always re-validated exactly -- the float LP only
-guides pruning, never certifies feasibility or the final objective.  Only
-an LP proven infeasible prunes.  When HiGHS returns no optimum (a time-out
-or numeric trouble), the node drops the basis, takes the larger of its
-parent's bound and the trivial bound -- the exact rational sum of fixed
-costs plus all still-collectable negative objective coefficients, weak but
-admissible -- and branches on its first free variable.
+The float LP guides the search and certifies no point.  Only an LP proven
+infeasible prunes.  When HiGHS returns no optimum (a time-out or numeric
+trouble), the node drops the basis, takes the larger of its parent's bound
+and the trivial bound -- the exact rational sum of fixed costs plus all
+still-collectable negative objective coefficients, weak but admissible --
+and branches on its first free variable.
 
 A node is pruned only when its bound reaches the incumbent, so ``optimal``
 reports a bound equal to the objective.  A node's bound is never below its
@@ -176,8 +177,18 @@ _highs = _load_highs()
 
 @dataclass(frozen=True)
 class SolveLimits:
+    """Stop after ``time_limit`` seconds or ``node_limit`` nodes, None for no
+    limit.  ValueError on a limit below 0 or NaN, or a non-int node limit."""
     time_limit: float | None = None
     node_limit: int | None = None
+
+    def __post_init__(self):
+        if self.node_limit is not None and type(self.node_limit) is not int:  # a bool too
+            raise ValueError(f"node_limit must be an int, not {self.node_limit!r}")
+        for name in ("time_limit", "node_limit"):
+            limit = getattr(self, name)
+            if limit is not None and not limit >= 0:
+                raise ValueError(f"{name} must be at least 0, not {limit!r}")
 
 
 @dataclass
@@ -305,7 +316,6 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     obj = {}
     for vid, coeff in system.objective:
         obj[vid] = obj.get(vid, Fraction(0)) + Fraction(coeff)
-    obj_vars = sorted(obj)
     obj_const = Fraction(system.objective_constant)
     obj_den = lcm(1, *(c.denominator for c in obj.values())) if obj else 1
 
@@ -313,7 +323,8 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     c_vec = _np.zeros(nvars)
     c_vec[list(obj)] = [float(cf) for cf in obj.values()]
     lp = _lp_model(system.rows, nvars, c_vec)
-    engine = None  # built at the root, once its LP is feasible
+    design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
+    engine = None  # built when the search first branches
     values = [FREE] * nvars
     for v in dominated:  # cost <= 0: the trivial bound stays as it is
         values[v] = 1
@@ -321,25 +332,25 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     def trivial_bound():
         # fixed-at-1 costs plus every still-collectable negative coefficient
         b = obj_const
-        for v in obj_vars:
-            c = obj[v]
-            val = values[v]
-            if val == 1:
-                b += c
-            elif val == FREE and c < 0:
+        for v, c in obj.items():
+            if values[v] == 1 or (values[v] == FREE and c < 0):
                 b += c
         return b
 
     incumbent = None
     incumbent_obj = None
 
-    def consider(assignment):
-        """Record a feasible assignment if it improves the incumbent."""
+    def consider(point):
+        """Record a 0-1 point if it meets every row exactly and improves the
+        incumbent."""
         nonlocal incumbent, incumbent_obj
-        value = obj_const + sum((obj[v] for v in obj_vars if assignment[v] == 1),
-                                Fraction(0))
+        for row in system.rows:
+            excess = sum((c * point[v] for v, c in row.terms), -row.rhs)
+            if (excess > 0 and row.sense != ">=") or (excess < 0 and row.sense != "<="):
+                return
+        value = obj_const + sum((c for v, c in obj.items() if point[v] == 1), Fraction(0))
         if incumbent is None or value < incumbent_obj:
-            incumbent = assignment
+            incumbent = point
             incumbent_obj = value
 
     # Open children as (parent's trail mark, variable, value, parent's bound);
@@ -350,9 +361,9 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         mark, var, val, parent_bound = stack.pop()
         if incumbent is not None and parent_bound >= incumbent_obj:
             continue  # a node's bound is never below its parent's
-        if engine is not None:
+        if var is not None:  # a child: the engine exists
             engine.backtrack(mark)
-            if var is not None and not engine.assign(var, val):
+            if not engine.assign(var, val):
                 continue
         if (limits.node_limit is not None and nodes >= limits.node_limit) or (
                 limits.time_limit is not None
@@ -367,16 +378,6 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         state = _np.array(values)
         res = _linprog(lp, state == 1, state != 0)
         lp_calls += 1
-        if engine is None and res.status != 2:
-            # a feasible root LP: build the engine and propagate the root
-            engine = PropEngine(nvars, _le_rows(system))
-            values = engine.values  # updated in place by assign and backtrack
-            design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
-            if not engine.propagate_root():
-                continue
-            for v in dominated:
-                engine.assign(v, 1)  # raises no minimum activity: never a conflict
-            state = _np.array(values)
         if res.status == 2:
             continue
         # Without an LP optimum (a time-out or numeric trouble) the trivial
@@ -391,25 +392,29 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         if incumbent is not None and node_bound >= incumbent_obj:
             continue
         free = _np.flatnonzero(state == FREE)
-        if not free.size:
-            consider(dict(enumerate(values)))  # propagation checked every row
-            continue
-        v, first = int(free[0]), 0
-        if res.status == 0:
-            x = res.x[free]
-            i, integral = _branch_position(x, design[free])
-            if integral:
-                # the relaxation vertex is 0-1: validate it exactly
-                assignment = dict(enumerate(values))
-                assignment.update(zip(free.tolist(), _np.round(x).astype(int).tolist()))
-                if all(sum(c * assignment[u] for u, c in zip(cols, coefs)) <= rhs
-                       for cols, coefs, rhs in engine.rows):
-                    consider(assignment)
-                    if node_bound >= incumbent_obj:
-                        continue
-            else:
-                v = int(free[i])
-            first = int(round(res.x[v]))
+        v, first, integral = None, 0, not free.size
+        if free.size:
+            v = int(free[0])
+            if res.status == 0:
+                i, integral = _branch_position(res.x[free], design[free])
+                v = v if integral else int(free[i])
+                first = int(round(res.x[v]))
+        if integral:
+            # the node's 0-1 point: its fixings, and the LP vertex on the free ones
+            point = dict(enumerate(values))
+            if free.size:
+                point.update(zip(free.tolist(), _np.round(res.x[free]).astype(int).tolist()))
+            consider(point)
+            if v is None or (incumbent is not None and node_bound >= incumbent_obj):
+                continue
+        if engine is None:
+            # the first node that branches propagates the rows from scratch
+            engine = PropEngine(nvars, _le_rows(system))
+            values = engine.values  # updated in place by assign and backtrack
+            if not engine.propagate_root():
+                continue
+            for u in dominated:
+                engine.assign(u, 1)  # raises no minimum activity: never a conflict
         mark = engine.mark()
         stack.append((mark, v, 1 - first, node_bound))
         stack.append((mark, v, first, node_bound))

@@ -82,13 +82,16 @@ def test_a_malformed_command_line_exits_1(tmp_path, capsys):
     # a limit below 0 or NaN, is an input error
     path = write(tmp_path, line_instance(c=1, ce=0, k=0, n_trains=1))
     for argv in (["solve", path, "--node-limit", "abc"], ["solve", path, "--mode", "bogus"],
-                 ["solve"], ["solve", path, "--node-limit", "-3"],
-                 ["solve", path, "--time-limit", "-1"], ["solve", path, "--time-limit", "nan"],
-                 ["gen-x3c", "--q", "two", "--subsets", "5", "--seed", "1", "-o", path],
+                 ["solve"], ["gen-x3c", "--q", "two", "--subsets", "5", "--seed", "1", "-o", path],
                  ["bogus"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 1, argv
+        assert "error:" in capsys.readouterr().err
+    # the limits parse, and SolveLimits rejects them
+    for argv in (["solve", path, "--node-limit", "-3"], ["solve", path, "--time-limit", "-1"],
+                 ["solve", path, "--time-limit", "nan"]):
+        assert cli.main(argv) == 1, argv
         assert "error:" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--help"])

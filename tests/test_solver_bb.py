@@ -113,6 +113,22 @@ def test_node_limit(bound_mode):
     assert res.status == "limit_reached"
 
 
+@pytest.mark.parametrize("name, value", [("time_limit", float("nan")), ("time_limit", -1),
+                                         ("time_limit", -0.5), ("node_limit", -3),
+                                         ("node_limit", 2.0), ("node_limit", True),
+                                         ("node_limit", "4")])
+def test_solve_limits_reject_what_is_no_limit(name, value):
+    # NaN would run with no limit, and a limit below 0 would stop before
+    # the root; a bool or float node count is a caller's mistake
+    with pytest.raises(ValueError):
+        SolveLimits(**{name: value})
+
+
+def test_solve_limits_take_zero_and_none():
+    assert SolveLimits(time_limit=0, node_limit=0) == SolveLimits(0.0, 0)
+    assert SolveLimits() == SolveLimits(None, None)
+
+
 def x3c_system(q, subsets, seed, planted=True):
     inst, _threshold = reduction.x3c_to_instance(
         reduction.gen_random_x3c(q, subsets, seed, planted=planted))
@@ -399,6 +415,30 @@ def test_infeasible_root_lp_builds_no_engine(monkeypatch, system):
     assert (res.stats["nodes"], res.stats["lp_calls"]) == (1, 1)
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_root_lp_that_closes_the_solve_builds_no_engine(monkeypatch, seed):
+    # the force rows make each corridor's root LP vertex the 0-1 optimum:
+    # the exact gate accepts it and the search never branches
+    def no_engine(*args):
+        raise AssertionError("PropEngine built")
+
+    monkeypatch.setattr(solver_bb, "PropEngine", no_engine)
+    res = solve(milp.build(corridor_instance(seed, 3, 5)))
+    assert res.status == "optimal" and res.stats["nodes"] == 1
+
+
+def test_an_lp_vertex_within_tolerance_is_checked_exactly(bound_mode):
+    # x = (1, 1) breaks 10**9 x0 + 10**9 x1 <= 2*10**9 - 1 by 1, inside
+    # HiGHS's feasibility tolerance; a float MIP would answer -2
+    sys = ConstraintSystem()
+    for i in range(2):
+        sys.add_var(VarMeaning("expand", arc_index=i), f"b{i}")
+        sys.objective.append((i, -1))
+    sys.rows.append(LinearRow([(0, 10**9), (1, 10**9)], "<=", 2 * 10**9 - 1, "big"))
+    res = solve(sys)
+    assert (res.status, res.objective, res.bound) == ("optimal", -1, -1)
+
+
 def _one_column_lower_bounds(monkeypatch, coef):
     """Solve ``coef * x0 >= 1`` with cost 1; the answer and the lower column
     bounds of every LP call."""
@@ -418,12 +458,13 @@ def _one_column_lower_bounds(monkeypatch, coef):
 
 
 def test_root_keeps_its_lp_point_when_propagation_agrees(monkeypatch):
-    # x0 >= 1: propagation fixes x0 = 1, where the root LP point already has
-    # it.  2 x0 >= 1: the LP point is x0 = 1/2, and propagation fixes x0 = 1
-    # away from it; the root keeps that point's bound, which relaxes the
-    # fixing, and finds no variable left free.  Either way the root runs one LP.
-    for coef in (1, 2):
-        assert _one_column_lower_bounds(monkeypatch, coef) == (("optimal", 1, 1, 1), [[0.0]])
+    # x0 >= 1: the root LP point x0 = 1 passes the exact gate, and the solve
+    # ends at the root without propagating.  2 x0 >= 1: the LP point is
+    # x0 = 1/2, so the root branches on x0 before propagation runs; the
+    # engine, built for the branch, fixes x0 = 1, refutes the child x0 = 0
+    # without an LP, and the child x0 = 1 re-solves under that fixing.
+    assert _one_column_lower_bounds(monkeypatch, 1) == (("optimal", 1, 1, 1), [[0.0]])
+    assert _one_column_lower_bounds(monkeypatch, 2) == (("optimal", 1, 2, 2), [[0.0], [1.0]])
 
 
 def test_lp_model_rejects_what_highs_cannot_read():
@@ -722,6 +763,8 @@ def test_matches_walk_oracle_on_random_instances(bound_mode, monkeypatch):
         else:
             # an infeasible root LP answers before the engine is built
             refuted_by.add("search" if built else "root LP")
+        if bound_mode == "lp" and res.stats["nodes"] == 1:
+            assert not built, inst  # a search that never branches
         assert res.stats["lp_calls"] == res.stats["nodes"], inst
         statuses.add(res.status)
     assert statuses == {"optimal", "infeasible"}

@@ -123,7 +123,11 @@ def cmd_export_lp(args):
 
 
 def cmd_gen_x3c(args):
-    x3c = reduction.gen_random_x3c(args.q, args.subsets, args.seed, planted=args.planted)
+    try:
+        x3c = reduction.gen_random_x3c(args.q, args.subsets, args.seed, planted=args.planted)
+    except ValueError as exc:  # no such draw: q < 1, or too few or too many subsets
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     inst, threshold = reduction.x3c_to_instance(
         x3c, unit_capacity_encoding=args.unit_capacity)
     save_instance(inst, args.output)
@@ -187,7 +191,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except milp.BuildError as exc:  # a valid instance that the full model does not take
+    except (milp.BuildError, OSError) as exc:
+        # a valid instance that the full model does not take, or an output
+        # file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

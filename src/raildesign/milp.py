@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import effective_scenarios
+from .model import cost_to_json, effective_scenarios
 
 
 class VarMeaning(NamedTuple):
@@ -496,22 +496,15 @@ def build(instance) -> ConstraintSystem:
 # LP text export.
 
 
-def _fmt_coeff(value) -> str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
-
-
 def _fmt_terms(terms, names, constant=Fraction(0)):
     parts = []
     for vid, coeff in terms:
         f = Fraction(coeff)
         sign = "-" if f < 0 else "+"
-        parts.append((sign, f"{_fmt_coeff(abs(f))} {names[vid]}"))
+        parts.append((sign, f"{cost_to_json(abs(f))} {names[vid]}"))
     if constant != 0:
         sign = "-" if constant < 0 else "+"
-        parts.append((sign, _fmt_coeff(abs(constant))))
+        parts.append((sign, str(cost_to_json(abs(constant)))))
     if not parts:
         return "0"
     out = []
@@ -530,7 +523,7 @@ def export_lp(system: ConstraintSystem) -> str:
     lines.append("Subject To")
     for row in system.rows:
         lines.append(f" {row.name}: {_fmt_terms(row.terms, system.var_names)} "
-                     f"{row.sense} {_fmt_coeff(row.rhs)}")
+                     f"{row.sense} {cost_to_json(row.rhs)}")
     lines.append("Binary")
     for name in system.var_names:
         lines.append(f" {name}")

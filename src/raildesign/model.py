@@ -260,6 +260,17 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return ValidationReport(errors=tuple(errors))
 
 
+def priced(inst: Instance, expanded_arcs, routes) -> Solution:
+    """The solution with these expanded arcs and routes, priced: each listed
+    arc's expansion cost (a multi-arc once per expanded copy), plus the
+    penalty of every optional train without a route."""
+    arcs = inst.network.arc_by_key()
+    expansion = sum((arcs[key].expansion_cost for key in expanded_arcs), Fraction(0))
+    penalty = sum((t.penalty for t in inst.trains if t.optional and t.id not in routes),
+                  Fraction(0))
+    return Solution(tuple(expanded_arcs), routes, expansion + penalty, expansion, penalty)
+
+
 def effective_scenarios(inst: Instance) -> list:
     """Declared scenarios, or the single implicit all-trains scenario."""
     if inst.scenarios:

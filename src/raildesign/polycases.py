@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import RoutedStep, Solution, effective_scenarios
+from .model import RoutedStep, Solution, effective_scenarios, priced
 
 INF = float("inf")
 
@@ -148,15 +148,7 @@ def solve_arborescence(instance) -> Solution | None:
                 return None
             if worst > arc.capacity and key not in expanded:
                 expanded.append(key)
-    expanded.sort()
-    total = sum((by_key[k].expansion_cost for k in expanded), Fraction(0))
-    return Solution(
-        expanded_arcs=tuple(expanded),
-        routes=routes,
-        objective_value=total,
-        expansion_cost_total=total,
-        penalty_total=Fraction(0),
-    )
+    return priced(instance, sorted(expanded), routes)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +345,7 @@ def solve_series_parallel(instance) -> Solution | None:
     # interchangeable trains: assign ids to paths in lexicographic order
     order = sorted(t.id for t in trains)
     routes = {}
-    usage = {}
+    usage = {}  # id(leaf) -> (leaf, trains on it)
     for tid, path in zip(order, paths):
         now = trains[0].earliest_departure
         steps = []
@@ -364,19 +356,8 @@ def solve_series_parallel(instance) -> Solution | None:
             now += arc.travel_time
         routes[tid] = tuple(steps)
 
-    expanded = []
-    total = Fraction(0)
-    for leaf, count in usage.values():
-        if count > leaf.arc.capacity:
-            expanded.append(leaf.arc.key)
-            total += leaf.arc.expansion_cost
-    expanded.sort()
-    if total != root:
+    sol = priced(instance, sorted(leaf.arc.key for leaf, count in usage.values()
+                                  if count > leaf.arc.capacity), routes)
+    if sol.objective_value != root:
         raise RuntimeError("recovered paths disagree with the cost table")
-    return Solution(
-        expanded_arcs=tuple(expanded),
-        routes=routes,
-        objective_value=total,
-        expansion_cost_total=total,
-        penalty_total=Fraction(0),
-    )
+    return sol

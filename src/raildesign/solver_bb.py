@@ -13,13 +13,14 @@ the rounded LP vertex when that is integral on the free variables.
 
 The root LP comes first.  One pass over the signs of the rows finds the
 dominated columns (no positive coefficient in <= form, cost <= 0).  They
-start fixed at 1, which cuts off no 0-1 optimum, and the root LP takes
-its column bounds from the fixings, as every node's LP does, so
-``lp_calls`` equals ``nodes``.  An infeasible root LP answers
-``infeasible`` at node 1; that verdict trusts HiGHS's status, as every LP
-prune below does, and no exact certificate backs either yet.  The engine
-is built when a node first branches: it propagates every row (a conflict
-ends the node) and fixes the dominated columns, and then the children
+start fixed at 1 in ``values``, which cuts off no 0-1 optimum; that list
+is the one record of fixings from the root LP to the last leaf, and every
+node's LP takes its column bounds from it, so ``lp_calls`` equals
+``nodes``.  An infeasible root LP answers ``infeasible`` at node 1; that
+verdict trusts HiGHS's status, as every LP prune below does, and no exact
+certificate backs either yet.  The engine is built when a node first
+branches: it adopts ``values`` with the dominated columns already fixed,
+propagates every row (a conflict ends the node), and then the children
 are pushed.  At seed 1, 14 of the 51 ``x3c``, 1 of the 24 ``corridor`` and
 4 of the 14 ``scenarios`` benchmark instances build it.  The limits count
 the root LP as node 1: ``node_limit=0`` runs no LP, and a time limit
@@ -71,28 +72,38 @@ from math import lcm
 
 import numpy as _np
 
-from .model import RoutedStep, Solution
+from .model import RoutedStep, Solution, priced
 
 FREE = -1
 
 
 class PropEngine:
-    """Propagation over <=-rows ``(cols, coefs, rhs)`` of 0-1 variables, with
-    int or Fraction coefficients compared exactly.  Per row it keeps the
-    minimum activity, the least left-hand side any completion of the fixings
-    can reach: past the right-hand side is a conflict, and a free variable
-    whose costly value would push it past is fixed the other way.  A trail of
-    the fixed variables lets the search backtrack."""
+    """Propagation over the ``LinearRow``s of 0-1 variables in <= form (an
+    equality as two rows), int or Fraction coefficients compared exactly.
+    It adopts the caller's FREE/0/1 ``values`` and updates them in place;
+    only what it fixes goes on its trail.  Per row it keeps the minimum
+    activity, the least left-hand side any completion of the fixings can
+    reach: past the right-hand side is a conflict, and a free variable whose
+    costly value would push it past is fixed the other way."""
 
-    def __init__(self, nvars, rows):
-        self.rows = rows
-        self.watch = [[] for _ in range(nvars)]  # var -> [(row, coef)]
-        for r, (cols, coefs, _rhs) in enumerate(rows):
+    def __init__(self, values, rows):
+        self.values = values
+        self.rows = []  # (cols, coefs, rhs) in <= form, coefficients as built
+        for row in rows:
+            cols = [v for v, _ in row.terms]
+            if row.sense != ">=":
+                self.rows.append((cols, [c for _, c in row.terms], row.rhs))
+            if row.sense != "<=":  # a >= row, or an equality's second half
+                self.rows.append((cols, [-c for _, c in row.terms], -row.rhs))
+        self.watch = [[] for _ in values]  # var -> [(row, coef)]
+        for r, (cols, coefs, _rhs) in enumerate(self.rows):
             for v, c in zip(cols, coefs):
                 self.watch[v].append((r, c))
-        self.values = [FREE] * nvars
-        self.minact = [sum(c for c in coefs if c < 0) for _cols, coefs, _rhs in rows]
-        self.trail = []  # fixed variables, in order
+        # a fixed column counts at its value, a free one at min(0, c)
+        self.minact = [sum(c for v, c in zip(cols, coefs)
+                           if values[v] == 1 or (c < 0 and values[v] == FREE))
+                       for cols, coefs, _rhs in self.rows]
+        self.trail = []  # variables fixed by the engine, in order
 
     def mark(self):
         return len(self.trail)
@@ -219,20 +230,6 @@ def _dominated(system, obj):
     return [v for v, t in enumerate(tightens) if not t and obj.get(v, 0) <= 0]
 
 
-def _le_rows(system):
-    """The rows as (cols, coefs, rhs) in <= sense, coefficients as built; an
-    equality row gives its <= row and then its negated >= row."""
-    out = []
-    for row in system.rows:
-        cols = [v for v, _ in row.terms]
-        coefs = [c for _, c in row.terms]
-        if row.sense != ">=":
-            out.append((cols, coefs, row.rhs))
-        if row.sense != "<=":
-            out.append((cols, [-c for c in coefs], -row.rhs))
-    return out
-
-
 def _lp_model(rows, nvars, cost):
     """One HiGHS LP over the ``LinearRow``s with 0-1 column bounds, built once
     per solve.
@@ -319,14 +316,13 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     obj_const = Fraction(system.objective_constant)
     obj_den = lcm(1, *(c.denominator for c in obj.values())) if obj else 1
 
-    dominated = _dominated(system, obj)
     c_vec = _np.zeros(nvars)
     c_vec[list(obj)] = [float(cf) for cf in obj.values()]
     lp = _lp_model(system.rows, nvars, c_vec)
     design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
     engine = None  # built when the search first branches
-    values = [FREE] * nvars
-    for v in dominated:  # cost <= 0: the trivial bound stays as it is
+    values = [FREE] * nvars  # the one record of fixings, the engine's too
+    for v in _dominated(system, obj):  # cost <= 0: the trivial bound stays as it is
         values[v] = 1
 
     def trivial_bound():
@@ -408,13 +404,10 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             if v is None or (incumbent is not None and node_bound >= incumbent_obj):
                 continue
         if engine is None:
-            # the first node that branches propagates the rows from scratch
-            engine = PropEngine(nvars, _le_rows(system))
-            values = engine.values  # updated in place by assign and backtrack
+            # the first node that branches builds the engine on its fixings
+            engine = PropEngine(values, system.rows)
             if not engine.propagate_root():
                 continue
-            for u in dominated:
-                engine.assign(u, 1)  # raises no minimum activity: never a conflict
         mark = engine.mark()
         stack.append((mark, v, 1 - first, node_bound))
         stack.append((mark, v, first, node_bound))
@@ -445,10 +438,9 @@ def extract_solution(instance, result: SolveResult) -> Solution:
     assignment = result.incumbent
 
     # an arc that expansion does not widen is left out: its b is in no row
-    expanded = [net.arcs[m.arc_index] for vid, m in enumerate(system.variables)
+    expanded = [net.arcs[m.arc_index].key for vid, m in enumerate(system.variables)
                 if m.kind == "expand" and assignment.get(vid) == 1
                 and net.arcs[m.arc_index].expandable_capacity]
-    expansion_total = sum((arc.expansion_cost for arc in expanded), Fraction(0))
 
     active = {}  # train -> list of (t, arc index)
     for vid, meaning in enumerate(system.variables):
@@ -459,14 +451,12 @@ def extract_solution(instance, result: SolveResult) -> Solution:
     # than the one before: in (t, arc) order the active steps must run from
     # the origin, each leaving where the last one arrived, not before it
     # arrived, and stop at the first arrival at the destination.
-    routes = {}
-    penalty_total = Fraction(0)
+    routes = {}  # an optional train without a route pays its penalty in priced
     for train in instance.trains:
         if train.id not in active:
-            if train.optional:
-                penalty_total += train.penalty
-                continue
-            raise DecodeError(f"non-optional train {train.id} has no active route variables")
+            if not train.optional:
+                raise DecodeError(f"non-optional train {train.id} has no active route variables")
+            continue
         steps = []
         node, now = train.origin, None
         for t, ai in sorted(active[train.id]):
@@ -483,10 +473,4 @@ def extract_solution(instance, result: SolveResult) -> Solution:
             raise DecodeError(f"route of train {train.id} does not reach {train.destination}")
         routes[train.id] = tuple(steps)
 
-    return Solution(
-        expanded_arcs=tuple((arc.frm, arc.to) for arc in expanded),
-        routes=routes,
-        objective_value=expansion_total + penalty_total,
-        expansion_cost_total=expansion_total,
-        penalty_total=penalty_total,
-    )
+    return priced(instance, expanded, routes)

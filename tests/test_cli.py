@@ -297,3 +297,22 @@ def test_gen_x3c(tmp_path, capsys):
     assert cli.main(["solve", out]) == 0
     printed = capsys.readouterr().out
     assert "objective: 6" in printed
+
+
+@pytest.mark.parametrize("q, subsets", [(0, 1), (3, 2), (1, 5)])
+def test_gen_x3c_without_such_a_draw_exits_1(tmp_path, capsys, q, subsets):
+    # q < 1, fewer subsets than q, and more 3-sets than a ground set of 3q has
+    out = tmp_path / "x.json"
+    argv = ["gen-x3c", "--q", str(q), "--subsets", str(subsets), "--seed", "1", "-o", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_an_output_file_that_cannot_be_written_exits_1(tmp_path, capsys):
+    path = write(tmp_path, line_instance(c=1, ce=0, k=0, n_trains=1))
+    out = str(tmp_path / "no-such-dir" / "out.json")
+    for argv in (["solve", path, "-o", out], ["export-lp", path, "-o", out],
+                 ["gen-x3c", "--q", "2", "--subsets", "5", "--seed", "1", "-o", out]):
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith("error: "), argv

@@ -12,7 +12,7 @@ from helpers import (line_instance, mk_network, mk_train, random_walk_instance,
 from raildesign.model import (Arc, ConnectionRequirement, HeadwayTable, Instance,
                               InstanceError, Network, Node, RoutedStep, Scenario,
                               Solution, TrainRequest, cost_to_json,
-                              effective_scenarios, instance_from_dict,
+                              effective_scenarios, instance_from_dict, priced,
                               instance_to_dict, load_instance, load_solution,
                               save_instance, save_solution, solution_from_dict,
                               solution_to_dict, validate_instance)
@@ -404,3 +404,21 @@ def test_mistyped_solution_rejected(patch):
         solution_from_dict(data)
     with pytest.raises(InstanceError, match="expected an object"):
         solution_from_dict([data])
+
+
+def test_priced_counts_each_expanded_copy_and_each_dropped_train():
+    # A->B is two parallel copies, expandable once each at 3; the optional
+    # train O runs no route and pays 5/2
+    net = mk_network([("A", "B", 1, 0, 1, 3, 2)])
+    inst = Instance(network=net, horizon=1,
+                    trains=(mk_train("T", "A", "B", 0, 1),
+                            mk_train("O", "A", "B", 0, 1, optional=True, penalty="5/2")),
+                    capacity_window=1)
+    routes = {"T": (RoutedStep("T", "A", "B", 0),)}
+    sol = priced(inst, [("A", "B"), ("A", "B")], routes)
+    assert sol == Solution((("A", "B"), ("A", "B")), routes, Fraction(17, 2),
+                           Fraction(6), Fraction(5, 2))
+    assert verify(inst, sol) == []
+    once = priced(inst, [("A", "B")], routes)
+    assert (once.expansion_cost_total, once.objective_value) == (3, Fraction(11, 2))
+    assert verify(inst, once) == []

@@ -283,12 +283,14 @@ def test_le_rows():
     sys.rows.append(LinearRow([(0, Fraction(1, 2)), (1, Fraction(1, 3))],
                               "<=", Fraction(5, 6), "r1"))
     sys.rows.append(LinearRow([(0, 1)], "=", 1, "r2"))
-    rows = solver_bb._le_rows(sys)
-    # coefficients stay as built: Fractions are not scaled to integers
+    rows = solver_bb.PropEngine([solver_bb.FREE] * 2, sys.rows).rows
+    # the engine reads the rows in <= form, coefficients as built: Fractions
+    # are not scaled to integers
     assert ([0, 1], [Fraction(1, 2), Fraction(1, 3)], Fraction(5, 6)) == rows[0]
     assert {type(c) for c in rows[0][1]} == {Fraction}
     assert ([0], [1], 1) == rows[1]  # = splits into <= and >=
     assert ([0], [-1], -1) == rows[2]
+    assert len(rows) == 3
 
 
 def test_duplicate_variable_is_rejected_before_highs_sees_the_rows(monkeypatch):
@@ -682,7 +684,7 @@ def test_dominated_columns_match_the_engine_rule(system, data):
     cost = {}
     for v, c in system.objective:
         cost[v] = cost.get(v, 0) + c
-    engine = solver_bb.PropEngine(n, solver_bb._le_rows(system))
+    engine = solver_bb.PropEngine([solver_bb.FREE] * n, system.rows)
     want = [v for v, occurrences in enumerate(engine.watch)
             if cost.get(v, 0) <= 0 and all(c <= 0 for _r, c in occurrences)]
     assert solver_bb._dominated(system, cost) == want

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import milp, polycases, reduction, verify as verify_mod
@@ -63,6 +64,11 @@ def cmd_solve(args):
                                        node_limit=args.node_limit)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    # the file itself is written only for an optimal answer, but a missing
+    # directory is known before the search
+    if args.output and not os.path.isdir(os.path.dirname(args.output) or "."):
+        print(f"error: {args.output}: no such directory", file=sys.stderr)
         return EXIT_INPUT
     inst = _load_validated(args.instance)
     if inst is None:

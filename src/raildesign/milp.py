@@ -41,13 +41,16 @@ position) pairs per arc, and the terms of each flow row the slots touch.
 No row looks up a slot that does not exist.  The expansion variable of arc
 ``i`` is variable ``i``.
 
-Row names double as machine tags, e.g. ``cap_<from>_<to>_<scenario>_<t0>``
+Names double as machine tags, e.g. ``cap_<from>_<to>_<scenario>_<t0>``
 (the first scenario and window start that gave the row) or
-``hw_<from>_<to>_<v1>_<v2>_<t1>_<t2>``; each id is sanitised to
-``[A-Za-z0-9]`` once per build, and a name that repeats an earlier one gets
-a ``__2``, ``__3``, ... suffix.  The capacity
-window is half-open [t0, t0 + window): "c trains per window" is meant
-literally and window = 1 means "per time step".
+``hw_<from>_<to>_<v1>_<v2>_<t1>_<t2>``.  Each node, train and scenario id
+(the implicit ``all`` too) gets one ``[A-Za-z0-9]`` tag, distinct within its
+namespace (``_tags``), so every name is unique by construction: a tag holds
+no ``_`` and each family has a fixed prefix and number of fields, so a name
+reads back as its family and key (arc, scenario, start, train, pair, time);
+each key gives at most one kept row; and a row that ``emit_once`` drops
+takes no name.  The capacity window is half-open [t0, t0 + window): "c
+trains per window" is meant literally and window = 1 means "per time step".
 """
 
 from __future__ import annotations
@@ -98,31 +101,22 @@ class BuildError(ValueError):
 _SANITIZE = re.compile(r"[^A-Za-z0-9]")
 
 
-class _Namer:
-    """Unique names: the first use of a name keeps it, later ones get
-    ``__2``, ``__3``, ...  Callers pass names whose ids are already
-    sanitised (``_SANITIZE``) and that start with a family prefix."""
-
-    def __init__(self):
-        self.used = set()
-
-    def __call__(self, base):
-        candidate = base
-        k = 2
-        while candidate in self.used:
-            candidate = f"{base}__{k}"
-            k += 1
-        self.used.add(candidate)
-        return candidate
-
-    def many(self, bases):
-        """``[self(base) for base in bases]``, in one set update when no base
-        repeats another or an earlier name."""
-        fresh = set(bases)
-        if len(fresh) == len(bases) and self.used.isdisjoint(fresh):
-            self.used |= fresh
-            return bases
-        return [self(base) for base in bases]
+def _tags(ids):
+    """One ``[A-Za-z0-9]`` tag per id, distinct among ``ids``: the id with
+    every other character replaced by ``x``, unless an earlier id already
+    took that tag, in which case ``x2``, ``x3``, ... is appended until it is
+    free (``S-1`` gives ``Sx1``, and then ``S.1`` gives ``Sx1x2``)."""
+    tags, taken = {}, set()
+    for x in ids:
+        if x not in tags:
+            tag = base = _SANITIZE.sub("x", str(x))
+            k = 2
+            while tag in taken:
+                tag = f"{base}x{k}"
+                k += 1
+            taken.add(tag)
+            tags[x] = tag
+    return tags
 
 
 def headway_row(M: int, t1: int, t2: int, x1: int, x2: int, name: str = "hw") -> LinearRow | None:
@@ -190,7 +184,7 @@ class _Template:
     must: list  # of (arc index, first departure t, last departure t): arcs on every walk
 
 
-def _template(net, train, width, allow_dwell, node_pos, tag, arc_tag):
+def _template(net, train, width, allow_dwell, node_pos, node_tag, arc_tag):
     """Expand ``train`` moved to depart at 0 and arrive by ``width``, and file
     its slots: the terms of each flow row it touches, with an order key
     (arrivals by arc, the dwell in, departures by arc, the dwell out), sorted
@@ -215,7 +209,7 @@ def _template(net, train, width, allow_dwell, node_pos, tag, arc_tag):
                 flows[node_pos[arc.to], t + arc.travel_time].append((idx, pos, 1))
         else:
             node = net.nodes[idx].id
-            slots.append(("dwell", None, node, t, "w_", f"_{tag[node]}_"))
+            slots.append(("dwell", None, node, t, "w_", f"_{node_tag[node]}_"))
             flows[idx, t].append((2 * n_arcs + 1, pos, -1))
             flows[idx, t + 1].append((n_arcs, pos, 1))
     # The arcs on every walk, as bits of arc indexes: from each time node,
@@ -234,7 +228,8 @@ def _template(net, train, width, allow_dwell, node_pos, tag, arc_tag):
         every[key] = every.get(key, -1) & after
     on_all = every.get(None, 0)
     return _Template(slots, runs, [
-        (f"_{tag[net.nodes[p].id]}_", t, [(pos, coef) for _key, pos, coef in sorted(flows[p, t])])
+        (f"_{node_tag[net.nodes[p].id]}_", t,
+         [(pos, coef) for _key, pos, coef in sorted(flows[p, t])])
         for p, t in sorted(flows)],
         [(ai, runs[ai][0][0], runs[ai][-1][0]) for ai in range(on_all.bit_length())
          if on_all >> ai & 1])
@@ -260,10 +255,11 @@ def build(instance) -> ConstraintSystem:
     scenarios = effective_scenarios(instance)
 
     sys = ConstraintSystem()
-    name = _Namer()
-    tag = {x: _SANITIZE.sub("x", str(x))
-           for x in [n.id for n in net.nodes] + list(trains) + [sc.id for sc in scenarios]}
-    arc_tag = [f"{tag[a.frm]}_{tag[a.to]}" for a in net.arcs]
+    # one tag per id in each namespace; node, train and scenario tags may coincide
+    node_tag = _tags(n.id for n in net.nodes)
+    train_tag = _tags(trains)
+    sc_tag = _tags(sc.id for sc in scenarios)
+    arc_tag = [f"{node_tag[a.frm]}_{node_tag[a.to]}" for a in net.arcs]
 
     # Variables: expansion first, so the expansion variable of arc ai is ai,
     # then per train (lexicographic) by (time, movement-before-dwell,
@@ -276,7 +272,7 @@ def build(instance) -> ConstraintSystem:
     # leaves before the one or arrives after the other.
     n_arcs = len(net.arcs)
     sys.variables = [VarMeaning("expand", ai) for ai in range(n_arcs)]
-    sys.var_names = name.many([f"b_{t}" for t in arc_tag])
+    sys.var_names = [f"b_{t}" for t in arc_tag]
     node_pos = {n.id: i for i, n in enumerate(net.nodes)}
     templates, place = {}, {}
     for tid in sorted(trains):
@@ -287,14 +283,14 @@ def build(instance) -> ConstraintSystem:
         tmpl = templates.get(key)
         if tmpl is None:
             tmpl = templates[key] = _template(net, tr, width, instance.allow_dwell,
-                                              node_pos, tag, arc_tag)
+                                              node_pos, node_tag, arc_tag)
         place[tid] = (tmpl, len(sys.variables), shift)
         # tuple.__new__ skips VarMeaning's Python-level __new__, as its _make does
         sys.variables += [tuple.__new__(VarMeaning, (kind, ai, tid, node, t + shift))
                           for kind, ai, node, t, _head, _mid in tmpl.slots]
-        tt = tag[tid]
-        sys.var_names += name.many([f"{head}{tt}{mid}{t + shift}"
-                                    for _kind, _ai, _node, t, head, mid in tmpl.slots])
+        tt = train_tag[tid]
+        sys.var_names += [f"{head}{tt}{mid}{t + shift}"
+                          for _kind, _ai, _node, t, head, mid in tmpl.slots]
 
     arcs_out = {}  # node -> list of arc indexes
     arcs_in = {}
@@ -336,7 +332,7 @@ def build(instance) -> ConstraintSystem:
         key = (sense, rhs, frozenset(terms))
         if key not in emitted:
             emitted.add(key)
-            sys.rows.append(LinearRow(terms, sense, rhs, name(base)))
+            sys.rows.append(LinearRow(terms, sense, rhs, base))
 
     # Capacity: one row per (arc, scenario, window start), linearized as
     # sum x - expandable * b <= capacity (no b term when expandable is 0).
@@ -364,7 +360,7 @@ def build(instance) -> ConstraintSystem:
                     if arc.expandable_capacity:
                         terms.append((ai, -arc.expandable_capacity))
                     emit_once(terms, "<=", arc.capacity,
-                              f"cap_{arc_tag[ai]}_{tag[sc.id]}_{t0}")
+                              f"cap_{arc_tag[ai]}_{sc_tag[sc.id]}_{t0}")
 
     # Forced expansions, by counting.  A mandatory train departs once, and its
     # route variables form one walk, so a train whose template has arc ai on
@@ -413,11 +409,11 @@ def build(instance) -> ConstraintSystem:
         deps = route_terms(tid, arcs_out.get(tr.origin, []))
         if tr.optional:
             if deps:  # with no walk, 0 <= 1 holds
-                emit_once(deps, "<=", 1, f"dep_{tag[tid]}_once")
+                emit_once(deps, "<=", 1, f"dep_{train_tag[tid]}_once")
         else:
-            emit_once(deps, "=", 1, f"dep_{tag[tid]}")
+            emit_once(deps, "=", 1, f"dep_{train_tag[tid]}")
             emit_once(route_terms(tid, arcs_in.get(tr.destination, [])), ">=", 1,
-                      f"arr_{tag[tid]}")
+                      f"arr_{train_tag[tid]}")
 
     # Minimum headway: one row set per ordered pair of distinct trains that
     # share a scenario, in order of the first scenario that holds both.
@@ -447,7 +443,7 @@ def build(instance) -> ConstraintSystem:
             if (run2[-1][0] + shift2 <= run1[0][0] + shift1
                     or run2[0][0] + shift2 - (run1[-1][0] + shift1) >= M):
                 continue
-            prefix = f"hw_{arc_tag[ai]}_{tag[v1]}_{tag[v2]}"
+            prefix = f"hw_{arc_tag[ai]}_{train_tag[v1]}_{train_tag[v2]}"
             for t1, pos1 in run1:
                 t1 += shift1
                 for t2, pos2 in run2:
@@ -457,16 +453,16 @@ def build(instance) -> ConstraintSystem:
                     if t2 - t1 >= M:  # later t2 only widen the gap
                         break
                     sys.rows.append(headway_row(M, t1, t2, first1 + pos1, first2 + pos2,
-                                                name=name(f"{prefix}_{t1}_{t2}")))
+                                                name=f"{prefix}_{t1}_{t2}"))
 
     # Flow conservation at every time node of the train's slots except its
     # own origin and destination; dwell appears on both sides when enabled.
     for tid in sorted(trains):
         tmpl, first, shift = place[tid]
-        tt = tag[tid]
-        names = name.many([f"flow_{tt}{mid}{t + shift}" for mid, t, _terms in tmpl.flows])
-        sys.rows += [LinearRow([(first + pos, coef) for pos, coef in terms], "=", 0, row_name)
-                     for (_mid, _t, terms), row_name in zip(tmpl.flows, names)]
+        tt = train_tag[tid]
+        sys.rows += [LinearRow([(first + pos, coef) for pos, coef in terms], "=", 0,
+                               f"flow_{tt}{mid}{t + shift}")
+                     for mid, t, terms in tmpl.flows]
 
     # Connections, in cumulative form: arrivals of the feeder at the station
     # up to t dominate departures of the connecting train up to t.  Only a
@@ -474,7 +470,7 @@ def build(instance) -> ConstraintSystem:
     # left-hand side only gains arrivals, so the row at the last departure
     # (or 0 <= arrivals, before the first) implies it.
     for c in instance.connections:
-        prefix = f"conn_{tag[c.station]}_{tag[c.feeder]}_{tag[c.connecting]}"
+        prefix = f"conn_{node_tag[c.station]}_{train_tag[c.feeder]}_{train_tag[c.connecting]}"
         feeds = [(t + net.arcs[ai].travel_time, vid) for ai in arcs_in.get(c.station, [])
                  for t, vid in run(c.feeder, ai)]
         outs = arcs_out.get(c.station, [])
@@ -487,7 +483,8 @@ def build(instance) -> ConstraintSystem:
     # VIA: the train departs from the required node at least once.
     for tid in sorted(trains):
         for n in trains[tid].via_nodes:
-            emit_once(route_terms(tid, arcs_out.get(n, [])), ">=", 1, f"via_{tag[tid]}_{tag[n]}")
+            emit_once(route_terms(tid, arcs_out.get(n, [])), ">=", 1,
+                      f"via_{train_tag[tid]}_{node_tag[n]}")
 
     return sys
 

@@ -482,10 +482,13 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def _load_json(path):
-    with open(path) as fh:
+    """The JSON value of a UTF-8 file; InstanceError when it is not one."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"{path}: not UTF-8 text: {exc}") from exc
+        except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
             raise InstanceError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -43,11 +43,14 @@ the most fractional free variable of any kind.  This is fixed-charge
 network design, so once the expansions are fixed only the feasibility of
 the routes is left to decide.
 The float LP guides the search and certifies no point.  Only an LP proven
-infeasible prunes.  When HiGHS returns no optimum (a time-out or numeric
-trouble), the node drops the basis, takes the larger of its parent's bound
-and the trivial bound -- the exact rational sum of fixed costs plus all
-still-collectable negative objective coefficients, weak but admissible --
-and branches on its first free variable.
+infeasible prunes.  It takes the costs scaled by a power of two when one is
+too large for it, and its value becomes a node's bound in exact arithmetic,
+so a cost that no float holds is still solved exactly.  When HiGHS returns
+no optimum (a time-out or numeric trouble), the node drops the basis, takes
+the larger of its parent's bound and the trivial bound -- the exact
+rational sum of fixed costs plus all still-collectable negative objective
+coefficients, weak but admissible -- and branches on its first free
+variable.
 
 A node is pruned only when its bound reaches the incumbent, so ``optimal``
 reports a bound equal to the objective.  A node's bound is never below its
@@ -62,7 +65,6 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import math
 import os
 import time
 from collections import namedtuple
@@ -316,8 +318,15 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
     obj_const = Fraction(system.objective_constant)
     obj_den = lcm(1, *(c.denominator for c in obj.values())) if obj else 1
 
+    # The LP takes the costs times 2**-k: k = 0 while every cost is below
+    # 2**40, and otherwise just large enough that each is below 2**41, a
+    # float far below the 1e20 from which HiGHS reads a cost as infinite.  A
+    # cost too small for a float reaches the LP as 0.
+    k = max(0, max((c.numerator.bit_length() - c.denominator.bit_length()
+                    for c in obj.values()), default=0) - 40)
+    lp_den = obj_den << k  # an LP value times lp_den counts units of 1/obj_den
     c_vec = _np.zeros(nvars)
-    c_vec[list(obj)] = [float(cf) for cf in obj.values()]
+    c_vec[list(obj)] = [c.numerator / (c.denominator << k) for c in obj.values()]
     lp = _lp_model(system.rows, nvars, c_vec)
     design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
     engine = None  # built when the search first branches
@@ -377,14 +386,16 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         if res.status == 2:
             continue
         # Without an LP optimum (a time-out or numeric trouble) the trivial
-        # bound and the parent's stand alone.  The LP's is floored
-        # conservatively, as attainable objectives are multiples of 1/obj_den.
+        # bound and the parent's stand alone.  Attainable objectives are
+        # multiples of 1/obj_den, so the LP's value in those units, v = s / d
+        # exactly, less a margin of 1e-6 relative, is rounded up in integer
+        # arithmetic: ceil(v - (1 + |v|) / 1e6) = ceil((1e6 s - d - |s|) / (1e6 d)).
         node_bound = max(trivial_bound(), parent_bound)
         if res.status == 0:
-            scaled = res.fun * obj_den
-            eps = 1e-6 * (1.0 + abs(scaled))
-            node_bound = max(node_bound,
-                             obj_const + Fraction(math.ceil(scaled - eps), obj_den))
+            n, d = res.fun.as_integer_ratio()
+            s = n * lp_den
+            node_bound = max(node_bound, obj_const + Fraction(
+                -((abs(s) + d - 1_000_000 * s) // (1_000_000 * d)), obj_den))
         if incumbent is not None and node_bound >= incumbent_obj:
             continue
         free = _np.flatnonzero(state == FREE)

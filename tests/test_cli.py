@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import line_instance, mk_network, mk_train, run_fresh
 from raildesign import cli, milp, solver_bb
-from raildesign.model import Instance, load_instance, load_solution, save_instance
+from raildesign.model import (Instance, cost_to_json, load_instance, load_solution,
+                              save_instance)
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,6 +146,44 @@ def test_solve_bad_file(tmp_path, capsys):
     p.write_text("{]")
     assert cli.main(["solve", str(p)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_a_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    # UTF-16 text starts with the bytes ff fe, which UTF-8 never does
+    inst = line_instance(c=1, ce=0, k=0, n_trains=1)
+    path, sol = write(tmp_path, inst), str(tmp_path / "sol.json")
+    assert cli.main(["solve", path, "-o", sol]) == 0
+    wide = tmp_path / "wide.json"
+    wide.write_bytes(Path(path).read_text().encode("utf-16"))
+    assert wide.read_bytes()[:2] == b"\xff\xfe"
+    capsys.readouterr()
+    for argv in (["solve", str(wide)], ["verify", str(wide), sol], ["verify", path, str(wide)]):
+        assert cli.main(argv) == 1, argv
+        assert capsys.readouterr().err.startswith(f"error: {wide}: not UTF-8 text"), argv
+
+
+@pytest.mark.parametrize("value", ["1e20", "1e400", "1e-400"])
+@pytest.mark.parametrize("field", ["expansion_cost", "penalty"])
+def test_exact_costs_past_a_float_solve_exactly(tmp_path, capsys, field, value):
+    # 1e20 is what HiGHS takes for an infinite cost, 1e400 overflows a float
+    # and 1e-400 underflows to 0.  On the bunched corridor counting forces
+    # both expansions; the penalty is an optional train's, which the
+    # expanded arcs can carry
+    data = json.loads((DATA / "bunched_corridor.json").read_text())
+    if field == "expansion_cost":
+        data["arcs"][0]["expansion_cost"] = value
+        optimum = Fraction(value) + 1
+    else:
+        data["trains"].append({"id": "TX", "origin": "S0", "destination": "S2",
+                               "earliest_departure": 0, "latest_arrival": 5,
+                               "optional": True, "penalty": value})
+        optimum = 2
+    path, sol = tmp_path / "costly.json", str(tmp_path / "sol.json")
+    path.write_text(json.dumps(data))
+    assert cli.main(["solve", str(path), "--mode", "milp", "-o", sol]) == 0
+    assert f"objective: {cost_to_json(optimum)}\n" in capsys.readouterr().out
+    assert load_solution(sol).objective_value == optimum
+    assert cli.main(["verify", str(path), sol]) == 0
 
 
 def test_solve_invalid_instance(tmp_path, capsys):
@@ -315,4 +355,6 @@ def test_an_output_file_that_cannot_be_written_exits_1(tmp_path, capsys):
     for argv in (["solve", path, "-o", out], ["export-lp", path, "-o", out],
                  ["gen-x3c", "--q", "2", "--subsets", "5", "--seed", "1", "-o", out]):
         assert cli.main(argv) == 1, argv
-        assert capsys.readouterr().err.startswith("error: "), argv
+        printed = capsys.readouterr()
+        # solve checks the directory before it loads and solves
+        assert printed.err.startswith("error: ") and printed.out == "", argv

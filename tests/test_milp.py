@@ -266,8 +266,8 @@ def test_headway_entries_apply_to_their_arc_and_pair_only():
 
 
 def test_vacuous_headway_pair_takes_no_name():
-    # A->S-1 and A->S.1 sanitise alike; on A->S-1 the gap 2 meets M = 2, so
-    # only A->S.1 (M = 3) has a row, and it keeps the unsuffixed name
+    # S-1 and S.1 sanitise alike, so S.1, declared second, is tagged Sx1x2;
+    # on A->S-1 the gap 2 meets M = 2, so only A->S.1 (M = 3) has a row
     net = mk_network([("A", "S-1", 1, 1, 0, 0), ("S-1", "D", 1, 1, 0, 0),
                       ("A", "S.1", 1, 1, 0, 0), ("S.1", "D", 1, 1, 0, 0)],
                      headways=HeadwayTable(entries={("A", "S-1", "T0", "T1"): 2,
@@ -275,7 +275,7 @@ def test_vacuous_headway_pair_takes_no_name():
     inst = Instance(network=net, horizon=4, capacity_window=1, allow_dwell=False,
                     trains=(mk_train("T0", "A", "D", 0, 2), mk_train("T1", "A", "D", 2, 4)))
     hw = [r.name for r in milp.build(inst).rows if r.name.startswith("hw_")]
-    assert hw == ["hw_A_Sx1_T0_T1_0_2"]
+    assert hw == ["hw_A_Sx1x2_T0_T1_0_2"]
 
 
 def test_headway_rows_never_mix_scenarios():
@@ -610,7 +610,7 @@ def families_instance():
     """Every row family (cap, dep and dep_once, arr, hw, flow with a dwell at
     an inner node, conn, via) under two scenarios, an optional train with a
     fractional penalty, and stations S-1 and S.1, which sanitise alike, so
-    names get the __2 suffix."""
+    S.1, declared second, is tagged Sx1x2."""
     net = mk_network([("A", "S-1", 1, 1, 1, 3), ("S-1", "S.1", 1, 1, 1, 2),
                       ("A", "S.1", 2, 0, 1, "5/2"), ("S.1", "C", 1, 1, 1, 4)],
                      headways=HeadwayTable(default=2))
@@ -690,3 +690,53 @@ def test_row_name_grammar():
     for row in system.rows:
         assert pat.fullmatch(row.name), row.name
     assert len({r.name for r in system.rows}) == len(system.rows)
+
+
+# Ids that sanitise alike: each is Sx1 with its one other character replaced.
+ALIKE = ("S-1", "S.1", "S_1", "Sx1")
+
+
+def renamed(inst, rng):
+    """``inst`` with its node, train and scenario ids each drawn from
+    ``ALIKE``, distinct within their kind, in a random order."""
+    node = dict(zip(inst.network.node_ids(), rng.sample(ALIKE, len(inst.network.nodes))))
+    train = dict(zip([t.id for t in inst.trains], rng.sample(ALIKE, len(inst.trains))))
+    scenario = dict(zip([s.id for s in inst.scenarios], rng.sample(ALIKE, len(inst.scenarios))))
+    net = inst.network
+    return dataclasses.replace(
+        inst,
+        network=dataclasses.replace(
+            net, nodes=tuple(dataclasses.replace(n, id=node[n.id]) for n in net.nodes),
+            arcs=tuple(dataclasses.replace(a, frm=node[a.frm], to=node[a.to]) for a in net.arcs),
+            headways=dataclasses.replace(net.headways, entries={
+                (node[f], node[to], train[v1], train[v2]): m
+                for (f, to, v1, v2), m in net.headways.entries.items()})),
+        trains=tuple(dataclasses.replace(
+            t, id=train[t.id], origin=node[t.origin], destination=node[t.destination],
+            via_nodes=tuple(node[v] for v in t.via_nodes)) for t in inst.trains),
+        connections=tuple(ConnectionRequirement(node[c.station], train[c.feeder],
+                                                train[c.connecting])
+                          for c in inst.connections),
+        scenarios=tuple(Scenario(scenario[s.id], tuple(train[v] for v in s.train_ids))
+                        for s in inst.scenarios))
+
+
+def test_ids_that_sanitise_alike_get_distinct_names():
+    # random walk and bunched line draws, their ids replaced by ones that
+    # sanitise alike: every variable and row name is unique, the LP text
+    # reads back as the model, and the answer is the one with plain ids
+    rng = random.Random(25)
+    suffixed = 0
+    for k in range(40):
+        plain = (random_walk_instance if k % 2 else bunched_line_instance)(rng)
+        inst = renamed(plain, rng)
+        assert validate_instance(inst).ok
+        system = milp.build(inst)
+        for names in (system.var_names, [row.name for row in system.rows]):
+            assert len(set(names)) == len(names), k
+            assert not any("__" in name for name in names), k
+        round_trip(system)
+        suffixed += any("Sx1x2" in name for name in system.var_names)
+        res, ref = solve(system), solve(milp.build(plain))
+        assert (res.status, res.objective) == (ref.status, ref.objective), k
+    assert suffixed == 40

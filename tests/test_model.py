@@ -131,7 +131,7 @@ def test_scenario_coverage():
 
 
 def test_repeated_scenario_id_rejected():
-    # the build would name the second scenario's rows with a ``__2`` suffix
+    # one id is one tag, so the two scenarios' capacity rows could share a name
     inst = rich_instance()
     again = dataclasses.replace(inst, scenarios=inst.scenarios
                                 + (Scenario("S1", ("T1", "T3")),))

@@ -425,9 +425,8 @@ def build(instance) -> ConstraintSystem:
             for v2 in sc.train_ids:
                 if v1 != v2:
                     pairs[v1, v2] = None
-    hw_arcs = {(frm, to) for (frm, to, _v1, _v2), m in net.headways.entries.items() if m > 0}
     for ai, arc in enumerate(net.arcs):
-        if net.headways.default <= 0 and arc.key not in hw_arcs:
+        if not net.headways.applies(arc.frm, arc.to):
             continue
         for v1, v2 in pairs:
             tmpl1, first1, shift1 = place[v1]

@@ -8,6 +8,7 @@ headways are plain integers.
 from __future__ import annotations
 
 import json
+import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +50,11 @@ class HeadwayTable:
 
     def get(self, frm, to, v1, v2) -> int:
         return self.entries.get((frm, to, v1, v2), self.default)
+
+    def applies(self, frm, to) -> bool:
+        """Whether some pair of trains must keep a positive headway on frm->to."""
+        return self.default > 0 or any(m > 0 and key[:2] == (frm, to)
+                                       for key, m in self.entries.items())
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,6 @@ class Instance:
 
 @dataclass(frozen=True)
 class RoutedStep:
-    train: str
     frm: str
     to: str
     depart: int
@@ -360,16 +365,20 @@ def _strings(value, where, key):
 
 
 def _cost(value, where, key):
-    if isinstance(value, bool):
-        raise InstanceError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceError(f"{where}: bad rational {value!r}") from exc
-    raise InstanceError(f"{where}: costs must be integers or 'p/q' strings, got {value!r}")
+    """An exact cost whose numerator and denominator the writers can print: of
+    at most ``sys.get_int_max_str_digits()`` digits each (0: no limit)."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InstanceError(f"{where}: costs must be integers or 'p/q' strings, got {value!r}")
+    try:
+        cost = Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(f"{where}: bad rational {value!r}") from exc
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # from Python 3.10.7
+    num, den = (value, 1) if isinstance(value, int) else cost.as_integer_ratio()
+    big = max(abs(num), den)  # 10**limit has more than 3 * limit bits
+    if limit and big.bit_length() > 3 * limit and big >= 10 ** limit:
+        raise InstanceError(f"{where}: {key} has more than {limit} digits")
+    return cost
 
 
 def _total(value, where, key):
@@ -425,13 +434,14 @@ def _arc_pairs(value, where, key):
     return tuple(tuple(pair) for pair in value)
 
 
-_STEP = _Table(dict, _Field("from", _str, attr="frm"), _Field("to", _str), _Field("depart", _int))
+_STEP = _Table(RoutedStep, _Field("from", _str, attr="frm"), _Field("to", _str),
+               _Field("depart", _int))
 
 
 def _routes(value, where, key):
     if not isinstance(value, dict):
         raise InstanceError(f"{key}: expected an object, got {value!r}")
-    return {train: tuple(RoutedStep(train=train, **_read(step, _STEP, f"{key}[{train}][{i}]"))
+    return {train: tuple(_read(step, _STEP, f"{key}[{train}][{i}]")
                          for i, step in enumerate(_list(steps, key, train)))
             for train, steps in value.items()}
 

@@ -31,8 +31,8 @@ def _require(cond, why):
 
 
 def _no_headways(instance):
-    hw = instance.network.headways
-    return hw.default == 0 and all(m == 0 for m in hw.entries.values())
+    net = instance.network
+    return not any(net.headways.applies(a.frm, a.to) for a in net.arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,7 @@ def solve_arborescence(instance) -> Solution | None:
         now = t.earliest_departure
         steps = []
         for arc in path:
-            steps.append(RoutedStep(train=t.id, frm=arc.frm, to=arc.to, depart=now))
+            steps.append(RoutedStep(arc.frm, arc.to, now))
             departures.setdefault(arc.key, []).append((t.id, now))
             now += arc.travel_time
             arrivals[(t.id, arc.to)] = now
@@ -351,7 +351,7 @@ def solve_series_parallel(instance) -> Solution | None:
         steps = []
         for leaf in path:
             arc = leaf.arc
-            steps.append(RoutedStep(train=tid, frm=arc.frm, to=arc.to, depart=now))
+            steps.append(RoutedStep(arc.frm, arc.to, now))
             usage[id(leaf)] = (leaf, usage.get(id(leaf), (leaf, 0))[1] + 1)
             now += arc.travel_time
         routes[tid] = tuple(steps)

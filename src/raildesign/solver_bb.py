@@ -8,8 +8,11 @@ open children: each is the parent's trail mark, a variable, a value and
 the parent's bound, and the preferred value is pushed last so it is tried
 first.  Every incumbent passes one exact gate, ``consider``: a node's 0-1
 point must meet every row, with its sense, in exact arithmetic.  The
-point is the node's fixings when no variable is free, or the fixings and
-the rounded LP vertex when that is integral on the free variables.
+point, and so the incumbent, is a copy of the node's fixings list, with
+the rounded LP vertex on the free variables when that is integral.  Every
+objective value of the search (a bound, a prune, a point's value) is an
+int, the cost in units of 1/d for d the least common denominator of the
+costs, without the constant; ``report`` adds it back for the result.
 
 The root LP comes first.  One pass over the signs of the rows finds the
 dominated columns (no positive coefficient in <= form, cost <= 0).  They
@@ -44,12 +47,12 @@ network design, so once the expansions are fixed only the feasibility of
 the routes is left to decide.
 The float LP guides the search and certifies no point.  Only an LP proven
 infeasible prunes.  It takes the costs scaled by a power of two when one is
-too large for it, and its value becomes a node's bound in exact arithmetic,
-so a cost that no float holds is still solved exactly.  When HiGHS returns
-no optimum (a time-out or numeric trouble), the node drops the basis, takes
-the larger of its parent's bound and the trivial bound -- the exact
-rational sum of fixed costs plus all still-collectable negative objective
-coefficients, weak but admissible -- and branches on its first free
+too large for it, and its value, less a margin, is rounded up to a whole
+number of units in integer arithmetic, so a cost that no float holds is
+still solved exactly.  When HiGHS returns no optimum (a time-out or numeric
+trouble), the node drops the basis, takes the larger of its parent's bound
+and the trivial bound -- the costs fixed at 1 plus every still-collectable
+negative one, weak but admissible -- and branches on its first free
 variable.
 
 A node is pruned only when its bound reaches the incumbent, so ``optimal``
@@ -207,7 +210,7 @@ class SolveLimits:
 @dataclass
 class SolveResult:
     status: str  # optimal | infeasible | limit_reached
-    incumbent: dict | None
+    incumbent: list | None  # the 0-1 value of each variable, in order
     objective: Fraction | None
     bound: Fraction | None  # None only when infeasible
     stats: dict = field(default_factory=dict)
@@ -314,36 +317,32 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
 
     obj = {}
     for vid, coeff in system.objective:
-        obj[vid] = obj.get(vid, Fraction(0)) + Fraction(coeff)
-    obj_const = Fraction(system.objective_constant)
-    obj_den = lcm(1, *(c.denominator for c in obj.values())) if obj else 1
-
+        obj[vid] = obj.get(vid, 0) + Fraction(coeff)
+    d = lcm(1, *(c.denominator for c in obj.values()))
+    cost = {v: c.numerator * (d // c.denominator) for v, c in obj.items()}  # units of 1/d
     # The LP takes the costs times 2**-k: k = 0 while every cost is below
     # 2**40, and otherwise just large enough that each is below 2**41, a
     # float far below the 1e20 from which HiGHS reads a cost as infinite.  A
     # cost too small for a float reaches the LP as 0.
     k = max(0, max((c.numerator.bit_length() - c.denominator.bit_length()
                     for c in obj.values()), default=0) - 40)
-    lp_den = obj_den << k  # an LP value times lp_den counts units of 1/obj_den
     c_vec = _np.zeros(nvars)
-    c_vec[list(obj)] = [c.numerator / (c.denominator << k) for c in obj.values()]
+    c_vec[list(cost)] = [u / (d << k) for u in cost.values()]
     lp = _lp_model(system.rows, nvars, c_vec)
     design = _np.array([m.kind == "expand" for m in system.variables], dtype=bool)
     engine = None  # built when the search first branches
     values = [FREE] * nvars  # the one record of fixings, the engine's too
-    for v in _dominated(system, obj):  # cost <= 0: the trivial bound stays as it is
+    for v in _dominated(system, cost):  # cost <= 0: the trivial bound stays as it is
         values[v] = 1
 
     def trivial_bound():
         # fixed-at-1 costs plus every still-collectable negative coefficient
-        b = obj_const
-        for v, c in obj.items():
-            if values[v] == 1 or (values[v] == FREE and c < 0):
-                b += c
-        return b
+        return sum(u for v, u in cost.items() if values[v] == 1 or (values[v] == FREE and u < 0))
 
-    incumbent = None
-    incumbent_obj = None
+    def report(units):  # a value of the search as the model states it
+        return None if units is None else Fraction(system.objective_constant) + Fraction(units, d)
+
+    incumbent = incumbent_obj = None
 
     def consider(point):
         """Record a 0-1 point if it meets every row exactly and improves the
@@ -353,7 +352,7 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
             excess = sum((c * point[v] for v, c in row.terms), -row.rhs)
             if (excess > 0 and row.sense != ">=") or (excess < 0 and row.sense != "<="):
                 return
-        value = obj_const + sum((c for v, c in obj.items() if point[v] == 1), Fraction(0))
+        value = sum(u for v, u in cost.items() if point[v] == 1)
         if incumbent is None or value < incumbent_obj:
             incumbent = point
             incumbent_obj = value
@@ -386,16 +385,14 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         if res.status == 2:
             continue
         # Without an LP optimum (a time-out or numeric trouble) the trivial
-        # bound and the parent's stand alone.  Attainable objectives are
-        # multiples of 1/obj_den, so the LP's value in those units, v = s / d
-        # exactly, less a margin of 1e-6 relative, is rounded up in integer
-        # arithmetic: ceil(v - (1 + |v|) / 1e6) = ceil((1e6 s - d - |s|) / (1e6 d)).
+        # bound and the parent's stand alone.  The LP's value in units,
+        # v = s / q exactly, less a margin of 1e-6 relative, is rounded up:
+        # ceil(v - (1 + |v|) / 1e6) = ceil((1e6 s - q - |s|) / (1e6 q)).
         node_bound = max(trivial_bound(), parent_bound)
         if res.status == 0:
-            n, d = res.fun.as_integer_ratio()
-            s = n * lp_den
-            node_bound = max(node_bound, obj_const + Fraction(
-                -((abs(s) + d - 1_000_000 * s) // (1_000_000 * d)), obj_den))
+            n, q = res.fun.as_integer_ratio()
+            s = n * (d << k)
+            node_bound = max(node_bound, -((abs(s) + q - 1_000_000 * s) // (1_000_000 * q)))
         if incumbent is not None and node_bound >= incumbent_obj:
             continue
         free = _np.flatnonzero(state == FREE)
@@ -408,10 +405,10 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
                 first = int(round(res.x[v]))
         if integral:
             # the node's 0-1 point: its fixings, and the LP vertex on the free ones
-            point = dict(enumerate(values))
+            point = state.copy()
             if free.size:
-                point.update(zip(free.tolist(), _np.round(res.x[free]).astype(int).tolist()))
-            consider(point)
+                point[free] = _np.round(res.x[free])
+            consider(point.tolist())
             if v is None or (incumbent is not None and node_bound >= incumbent_obj):
                 continue
         if engine is None:
@@ -423,18 +420,14 @@ def solve(system, limits: SolveLimits | None = None) -> SolveResult:
         stack.append((mark, v, 1 - first, node_bound))
         stack.append((mark, v, first, node_bound))
 
+    # only a limit leaves children open, and every unexplored node lies below one
+    bounds = [b for *_, b in stack]
+    if incumbent is not None:
+        bounds.append(incumbent_obj)
+    status = "limit_reached" if stack else "infeasible" if incumbent is None else "optimal"
     stats = {"nodes": nodes, "wall_time": time.monotonic() - t_start, "lp_calls": lp_calls}
-    if stack:
-        # only a limit leaves children open; every unexplored node lies
-        # below one of them
-        bounds = [b for *_, b in stack]
-        if incumbent is not None:
-            bounds.append(incumbent_obj)
-        return SolveResult("limit_reached", incumbent, incumbent_obj,
-                           min(bounds), stats, system)
-    if incumbent is None:
-        return SolveResult("infeasible", None, None, None, stats, system)
-    return SolveResult("optimal", incumbent, incumbent_obj, incumbent_obj, stats, system)
+    return SolveResult(status, incumbent, report(incumbent_obj), report(min(bounds, default=None)),
+                       stats, system)
 
 
 class DecodeError(RuntimeError):
@@ -450,12 +443,12 @@ def extract_solution(instance, result: SolveResult) -> Solution:
 
     # an arc that expansion does not widen is left out: its b is in no row
     expanded = [net.arcs[m.arc_index].key for vid, m in enumerate(system.variables)
-                if m.kind == "expand" and assignment.get(vid) == 1
+                if m.kind == "expand" and assignment[vid] == 1
                 and net.arcs[m.arc_index].expandable_capacity]
 
     active = {}  # train -> list of (t, arc index)
     for vid, meaning in enumerate(system.variables):
-        if meaning.kind == "route" and assignment.get(vid) == 1:
+        if meaning.kind == "route" and assignment[vid] == 1:
             active.setdefault(meaning.train, []).append((meaning.t, meaning.arc_index))
 
     # Travel times are >= 1, so each step of a walk departs strictly later
@@ -478,7 +471,7 @@ def extract_solution(instance, result: SolveResult) -> Solution:
                 raise DecodeError(f"route of train {train.id} is not a contiguous walk")
             if now is not None and t > now and not instance.allow_dwell:
                 raise DecodeError(f"train {train.id} dwells although dwell is disabled")
-            steps.append(RoutedStep(train=train.id, frm=arc.frm, to=arc.to, depart=t))
+            steps.append(RoutedStep(arc.frm, arc.to, t))
             node, now = arc.to, t + arc.travel_time
         if node != train.destination:
             raise DecodeError(f"route of train {train.id} does not reach {train.destination}")

@@ -39,11 +39,8 @@ def verify(instance, solution) -> list:
     # Its copies are interchangeable only when one window spans the horizon
     # and no headway separates departures on it; elsewhere it would matter
     # which copy each step takes, and a solution does not say.
-    headway_arcs = {(frm, to) for (frm, to, _v1, _v2), m in net.headways.entries.items()
-                    if m > 0}
     for a in net.arcs:
-        if a.multiplicity != 1 and (window != horizon or net.headways.default > 0
-                                    or a.key in headway_arcs):
+        if a.multiplicity != 1 and (window != horizon or net.headways.applies(a.frm, a.to)):
             bad("structure", f"arc {a.frm}->{a.to}: a multi-arc is verifiable only with "
                 "capacity window = horizon and no headway on it")
             return _ordered(violations)

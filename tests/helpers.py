@@ -413,7 +413,7 @@ def train_walks(instance, train):
         for a in out.get(node, ()):
             for t in range(first, min(last, instance.horizon - a.travel_time) + 1):
                 extend(a.to, t + a.travel_time,
-                       steps + [RoutedStep(train.id, a.frm, a.to, t)])
+                       steps + [RoutedStep(a.frm, a.to, t)])
 
     extend(train.origin, None, [])
     return walks

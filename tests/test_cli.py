@@ -186,6 +186,24 @@ def test_exact_costs_past_a_float_solve_exactly(tmp_path, capsys, field, value):
     assert cli.main(["verify", str(path), sol]) == 0
 
 
+@pytest.mark.parametrize("value", ["1e5000", "1e-5000"])
+def test_a_cost_past_the_digit_limit_exits_1(tmp_path, capsys, value):
+    # 10**5000 and 1/10**5000 are exact, but no int of 5001 digits prints
+    # under Python's default limit of 4300, so the load rejects them
+    data = json.loads((DATA / "bunched_corridor.json").read_text())
+    path, sol = tmp_path / "huge.json", str(tmp_path / "sol.json")
+    assert cli.main(["solve", str(DATA / "bunched_corridor.json"), "-o", sol]) == 0
+    data["arcs"][0]["expansion_cost"] = value
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    for argv in (["solve", str(path), "--mode", "milp"], ["export-lp", str(path)],
+                 ["verify", str(path), sol]):
+        assert cli.main(argv) == 1, argv
+        out = capsys.readouterr()
+        assert out.err == "error: arcs[0]: expansion_cost has more than 4300 digits\n", argv
+        assert out.out == "", argv
+
+
 def test_solve_invalid_instance(tmp_path, capsys):
     inst = line_instance(c=1, ce=0, k=0, n_trains=1)
     data = json.loads(Path(write(tmp_path, inst)).read_text())

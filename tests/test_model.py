@@ -81,6 +81,14 @@ def test_headway_naming_an_undeclared_train_rejected():
     assert "undeclared train" in validate_instance(inst).errors[0].message
 
 
+def test_a_headway_applies_where_some_pair_keeps_a_positive_gap():
+    table = HeadwayTable(entries={("A", "B", "T1", "T2"): 2, ("B", "C", "T1", "T2"): 0})
+    assert [table.applies(*arc) for arc in (("A", "B"), ("B", "A"), ("B", "C"))] \
+        == [True, False, False]
+    assert HeadwayTable(default=1).applies("B", "A")
+    assert not HeadwayTable().applies("A", "B")
+
+
 def test_penalty_flag_rules():
     net = mk_network([("A", "B", 1, 1, 0, 0)])
     bad1 = Instance(network=net, horizon=1,
@@ -321,8 +329,8 @@ def test_non_integer_int_fields_rejected():
 def test_solution_round_trip():
     sol = Solution(
         expanded_arcs=(("A", "B"),),
-        routes={"T1": (RoutedStep("T1", "A", "B", 0),
-                       RoutedStep("T1", "B", "C", 2))},
+        routes={"T1": (RoutedStep("A", "B", 0),
+                       RoutedStep("B", "C", 2))},
         objective_value=Fraction(7, 2),
         expansion_cost_total=Fraction(7, 2),
         penalty_total=Fraction(0),
@@ -414,7 +422,7 @@ def test_priced_counts_each_expanded_copy_and_each_dropped_train():
                     trains=(mk_train("T", "A", "B", 0, 1),
                             mk_train("O", "A", "B", 0, 1, optional=True, penalty="5/2")),
                     capacity_window=1)
-    routes = {"T": (RoutedStep("T", "A", "B", 0),)}
+    routes = {"T": (RoutedStep("A", "B", 0),)}
     sol = priced(inst, [("A", "B"), ("A", "B")], routes)
     assert sol == Solution((("A", "B"), ("A", "B")), routes, Fraction(17, 2),
                            Fraction(6), Fraction(5, 2))

@@ -631,7 +631,7 @@ def test_extract_decodes_routes_in_order():
 def test_extract_fails_loudly_on_garbage_incumbent(inst, steps, error):
     system = milp.build(inst)
     res = solve(system)
-    bad = dict(res.incumbent)
+    bad = list(res.incumbent)
     for vid, m in enumerate(system.variables):
         if m.kind == "route":
             bad[vid] = int((m.arc_index, m.t) in steps)
@@ -668,6 +668,47 @@ def random_systems(draw):
 def test_matches_enumeration_on_random_rational_systems(bound_mode, system):
     res = solve(system)
     assert (res.status, res.objective) == enumerate_system(system)
+
+
+def units_of(value, system):
+    """``value`` less the objective's constant, in units of 1/d for d the least
+    common denominator of the costs."""
+    d = math.lcm(1, *(Fraction(c).denominator for _v, c in system.objective))
+    return (value - system.objective_constant) * d
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(random_systems(), st.integers(1, 3))
+def test_a_limit_bound_is_a_whole_number_of_units_below_the_optimum(bound_mode, system,
+                                                                    limit):
+    res = solve(system, SolveLimits(node_limit=limit))
+    status, optimum = enumerate_system(system)
+    if res.status == "limit_reached":
+        assert status == "infeasible" or res.bound <= optimum
+        assert res.objective is None or res.objective >= optimum
+    else:
+        assert (res.status, res.objective) == (status, optimum)
+    if res.bound is not None:
+        assert units_of(res.bound, system).denominator == 1
+    if res.objective is not None:
+        assert units_of(res.objective, system).denominator == 1
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(random_systems(), RATIONALS, st.sampled_from([None, 1, 2, 3]))
+def test_the_constant_shifts_only_the_reported_values(bound_mode, system, shift, limit):
+    # the search counts without the constant: the same tree, the same LPs
+    limits = SolveLimits(node_limit=limit)
+    before = solve(system, limits)
+    system.objective_constant += shift
+    after = solve(system, limits)
+    assert (after.status, after.incumbent) == (before.status, before.incumbent)
+    assert [after.stats[k] for k in ("nodes", "lp_calls")] \
+        == [before.stats[k] for k in ("nodes", "lp_calls")]
+    for was, now in ((before.objective, after.objective), (before.bound, after.bound)):
+        assert now == (None if was is None else was + shift)
 
 
 @settings(max_examples=60, deadline=None)
@@ -733,8 +774,8 @@ def test_via_cannot_be_reached_by_returning_to_the_origin(bound_mode, dwell):
                     trains=(mk_train("T", "A", "C", 0, 3, via=["V"]),),
                     capacity_window=1, allow_dwell=dwell)
     assert solve(milp.build(inst)).status == "infeasible"
-    back = Solution((), {"T": (RoutedStep("T", "A", "V", 0), RoutedStep("T", "V", "A", 1),
-                               RoutedStep("T", "A", "C", 2))},
+    back = Solution((), {"T": (RoutedStep("A", "V", 0), RoutedStep("V", "A", 1),
+                               RoutedStep("A", "C", 2))},
                     Fraction(0), Fraction(0), Fraction(0))
     assert [v.family for v in verify(inst, back)] == ["flow"]
 

@@ -57,7 +57,7 @@ def test_early_departure_is_flagged():
                          dwell=False)
     sol = solved(inst)
     shifted = dataclasses.replace(
-        sol, routes={"T0": (RoutedStep("T0", "A", "B", 0),)})
+        sol, routes={"T0": (RoutedStep("A", "B", 0),)})
     assert "departure" in families(verify(inst, shifted))
 
 
@@ -66,7 +66,7 @@ def test_late_arrival_is_flagged():
                          dwell=False)
     sol = solved(inst)
     shifted = dataclasses.replace(
-        sol, routes={"T0": (RoutedStep("T0", "A", "B", 2),)})
+        sol, routes={"T0": (RoutedStep("A", "B", 2),)})
     assert "arrival" in families(verify(inst, shifted))
 
 
@@ -75,8 +75,8 @@ def test_headway_gap_is_flagged():
                          headway_default=3, dwell=False)
     sol = Solution(
         expanded_arcs=(),
-        routes={"T0": (RoutedStep("T0", "A", "B", 0),),
-                "T1": (RoutedStep("T1", "A", "B", 1),)},
+        routes={"T0": (RoutedStep("A", "B", 0),),
+                "T1": (RoutedStep("A", "B", 1),)},
         objective_value=Fraction(0), expansion_cost_total=Fraction(0),
         penalty_total=Fraction(0))
     assert "headway" in families(verify(inst, sol))
@@ -87,11 +87,11 @@ def test_broken_walk_is_flagged():
     inst = Instance(network=net, horizon=3,
                     trains=(mk_train("T", "A", "C", 0, 3),),
                     capacity_window=1, allow_dwell=False)
-    gap = Solution((), {"T": (RoutedStep("T", "A", "B", 0),
-                              RoutedStep("T", "B", "C", 2))},
+    gap = Solution((), {"T": (RoutedStep("A", "B", 0),
+                              RoutedStep("B", "C", 2))},
                    Fraction(0), Fraction(0), Fraction(0))
     assert "flow" in families(verify(inst, gap))  # dwells while dwell disabled
-    wrong_start = Solution((), {"T": (RoutedStep("T", "B", "C", 1),)},
+    wrong_start = Solution((), {"T": (RoutedStep("B", "C", 1),)},
                            Fraction(0), Fraction(0), Fraction(0))
     assert "flow" in families(verify(inst, wrong_start))
     missing = Solution((), {}, Fraction(0), Fraction(0), Fraction(0))
@@ -108,9 +108,9 @@ def test_connection_and_via_violations():
                     connections=(ConnectionRequirement("B", "F", "G"),),
                     capacity_window=1, allow_dwell=True)
     bad = Solution(
-        (), {"F": (RoutedStep("F", "A", "B", 2),),
-             "G": (RoutedStep("G", "B", "C", 0),),
-             "V": (RoutedStep("V", "A", "C", 0),)},
+        (), {"F": (RoutedStep("A", "B", 2),),
+             "G": (RoutedStep("B", "C", 0),),
+             "V": (RoutedStep("A", "C", 0),)},
         Fraction(0), Fraction(0), Fraction(0))
     fams = families(verify(inst, bad))
     assert "connection" in fams  # G departs B before F arrives
@@ -126,12 +126,12 @@ def test_objective_mismatch_is_flagged():
 def test_structure_violations():
     inst = line_instance(c=1, ce=0, k=0, n_trains=1, horizon=2, dwell=False)
     sol = Solution((("A", "Z"),),
-                   {"T0": (RoutedStep("T0", "A", "B", 0),),
-                    "GHOST": (RoutedStep("GHOST", "A", "B", 1),)},
+                   {"T0": (RoutedStep("A", "B", 0),),
+                    "GHOST": (RoutedStep("A", "B", 1),)},
                    Fraction(0), Fraction(0), Fraction(0))
     fams = families(verify(inst, sol))
     assert "structure" in fams
-    horizon_cross = Solution((), {"T0": (RoutedStep("T0", "A", "B", 2),)},
+    horizon_cross = Solution((), {"T0": (RoutedStep("A", "B", 2),)},
                              Fraction(0), Fraction(0), Fraction(0))
     assert "structure" in families(verify(inst, horizon_cross))
 
@@ -140,7 +140,7 @@ def test_departure_before_time_zero_is_flagged():
     # no capacity window starts before 0, so only the structure check sees
     # two trains sharing a step there
     inst = line_instance(c=1, ce=0, k=0, n_trains=2, horizon=2, dep=-3)
-    early = Solution((), {f"T{i}": (RoutedStep(f"T{i}", "A", "B", -1),) for i in range(2)},
+    early = Solution((), {f"T{i}": (RoutedStep("A", "B", -1),) for i in range(2)},
                      Fraction(0), Fraction(0), Fraction(0))
     assert families(verify(inst, early)) == {"structure"}
 
@@ -203,8 +203,8 @@ def test_violations_are_ordered_and_deduplicated():
 def test_scenario_capacity_checked_per_scenario():
     from raildesign.model import Scenario
     inst = line_instance(c=1, ce=0, k=0, n_trains=2, horizon=1, dwell=False)
-    both = Solution((), {"T0": (RoutedStep("T0", "A", "B", 0),),
-                         "T1": (RoutedStep("T1", "A", "B", 0),)},
+    both = Solution((), {"T0": (RoutedStep("A", "B", 0),),
+                         "T1": (RoutedStep("A", "B", 0),)},
                     Fraction(0), Fraction(0), Fraction(0))
     assert "capacity" in families(verify(inst, both))
     split = Instance(network=inst.network, horizon=1, trains=inst.trains,
@@ -220,14 +220,13 @@ def test_scenario_capacity_checked_per_scenario():
 def decode(inst, system, bits):
     """The solution ``bits`` encode: one walk per routed train, with dwell
     bits set exactly on the walk's waits; None for anything else."""
-    result = solver_bb.SolveResult("optimal", dict(enumerate(bits)), None, None,
-                                   {}, system)
+    result = solver_bb.SolveResult("optimal", list(bits), None, None, {}, system)
     try:
         sol = solver_bb.extract_solution(inst, result)
     except solver_bb.DecodeError:
         return None
     arcs = inst.network.arc_by_key()
-    waits = {(s.train, s.frm, tau) for steps in sol.routes.values()
+    waits = {(train, s.frm, tau) for train, steps in sol.routes.items()
              for prev, s in zip(steps, steps[1:])
              for tau in range(prev.depart + arcs[(prev.frm, prev.to)].travel_time, s.depart)}
     on = {(m.train, m.node, m.t) for m, bit in zip(system.variables, bits)

@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import milp, polycases, reduction, verify as verify_mod
-from .model import (InstanceError, cost_to_json, load_instance, load_solution,
+from .model import (InstanceError, _save_json, cost_to_json, load_instance, load_solution,
                     save_instance, save_solution, validate_instance)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_LIMIT = 3
+
+# each --mode, in the order --help lists them, and the special-case solvers
+# it tries in turn before the full model
+_MODES = {"auto": (polycases.solve_arborescence, polycases.solve_series_parallel),
+          "milp": (), "arborescence": (polycases.solve_arborescence,),
+          "sp": (polycases.solve_series_parallel,)}
 
 
 def _load_validated(path):
@@ -36,10 +41,7 @@ def _solve_with_mode(inst, mode, limits):
     """Returns (status, solution or None, branch-and-bound result or None).
     Raises UnsupportedInstance for an explicit mode that does not fit the
     instance; ``auto`` tries its next solver, and then the full model."""
-    special = {"auto": (polycases.solve_arborescence, polycases.solve_series_parallel),
-               "arborescence": (polycases.solve_arborescence,),
-               "sp": (polycases.solve_series_parallel,), "milp": ()}
-    for solver in special[mode]:
+    for solver in _MODES[mode]:
         try:
             sol = solver(inst)
         except polycases.UnsupportedInstance:
@@ -145,9 +147,7 @@ def cmd_gen_x3c(args):
     if len(x3c.subsets) <= 20:
         sidecar["has_cover"] = reduction.x3c_brute_force(x3c)
     sidecar_path = args.output + ".x3c.json"
-    with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2)
-        fh.write("\n")
+    _save_json(sidecar, sidecar_path)
     print(f"wrote {args.output} and {sidecar_path}")
     return EXIT_OK
 
@@ -164,8 +164,7 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="solve an instance file")
     sp.add_argument("instance")
-    sp.add_argument("--mode", choices=["auto", "milp", "arborescence", "sp"],
-                    default="auto")
+    sp.add_argument("--mode", choices=list(_MODES), default="auto")
     sp.add_argument("--time-limit", type=float, default=None)
     sp.add_argument("--node-limit", type=int, default=None)
     sp.add_argument("-o", "--output", default=None, help="solution file to write")

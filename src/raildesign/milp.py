@@ -55,13 +55,14 @@ trains per window" is meant literally and window = 1 means "per time step".
 
 from __future__ import annotations
 
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-from .model import cost_to_json, effective_scenarios
+from .model import effective_scenarios
 
 
 class VarMeaning(NamedTuple):
@@ -492,36 +493,33 @@ def build(instance) -> ConstraintSystem:
 # LP text export.
 
 
-def _fmt_terms(terms, names, constant=Fraction(0)):
-    parts = []
-    for vid, coeff in terms:
-        f = Fraction(coeff)
-        sign = "-" if f < 0 else "+"
-        parts.append((sign, f"{cost_to_json(abs(f))} {names[vid]}"))
-    if constant != 0:
-        sign = "-" if constant < 0 else "+"
-        parts.append((sign, str(cost_to_json(abs(constant)))))
-    if not parts:
-        return "0"
-    out = []
-    for i, (sign, body) in enumerate(parts):
-        if i == 0:
-            out.append(body if sign == "+" else f"- {body}")
-        else:
-            out.append(f"{sign} {body}")
-    return " ".join(out)
+def _whole(terms, constant):
+    """The least d > 0 that makes d times each coefficient and the constant whole."""
+    return math.lcm(*(Fraction(c).denominator for _, c in terms), Fraction(constant).denominator)
+
+
+def _fmt_terms(terms, names, d, constant=0):
+    """``terms`` plus ``constant``, times ``d``, in whole numbers."""
+    parts = [(c * d, f" {names[vid]}") for vid, c in terms]
+    if constant:
+        parts.append((constant * d, ""))
+    text = " ".join(f"{'-' if v < 0 else '+'} {abs(v)}{name}" for v, name in parts)
+    return text.removeprefix("+ ") or "0"
 
 
 def export_lp(system: ConstraintSystem) -> str:
-    lines = ["\\ raildesign LP export", "Minimize"]
-    lines.append(" obj: " + _fmt_terms(system.objective, system.var_names,
-                                       system.objective_constant))
-    lines.append("Subject To")
+    """The model in LP text with whole numbers, which LP readers take: each
+    row times the least factor that makes it whole, which is the same row,
+    and the objective times such a factor d, named in the header when not 1."""
+    d = _whole(system.objective, system.objective_constant)
+    lines = ["\\ raildesign LP export"]
+    if d != 1:
+        lines.append(f"\\ objective scaled by {d}")
+    obj = _fmt_terms(system.objective, system.var_names, d, system.objective_constant)
+    lines += ["Minimize", f" obj: {obj}", "Subject To"]
     for row in system.rows:
-        lines.append(f" {row.name}: {_fmt_terms(row.terms, system.var_names)} "
-                     f"{row.sense} {cost_to_json(row.rhs)}")
-    lines.append("Binary")
-    for name in system.var_names:
-        lines.append(f" {name}")
-    lines.append("End")
+        r = _whole(row.terms, row.rhs)
+        lines.append(f" {row.name}: {_fmt_terms(row.terms, system.var_names, r)} "
+                     f"{row.sense} {row.rhs * r}")
+    lines += ["Binary", *(f" {name}" for name in system.var_names), "End"]
     return "\n".join(lines) + "\n"

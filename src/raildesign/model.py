@@ -12,6 +12,7 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 
 class InstanceError(ValueError):
@@ -312,22 +313,27 @@ class _Table:
 
     def __init__(self, make, *fields):
         self.make = make
-        self.reads = tuple((f.key, f.read, f.default, f.attr or f.key) for f in fields)
-        self.writes = tuple((f.key, f.write, f.default, f.attr or f.key) for f in fields)
+        self.fields = tuple((f.key, f.read, f.write, f.default, f.attr or f.key) for f in fields)
         self.keys = frozenset(f.key for f in fields)
         self.required = frozenset(f.key for f in fields if f.default is _REQUIRED)
 
 
+def _echo(value):
+    """``repr(value)``, cut to 60 characters ending in … when longer."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:59] + "…"
+
+
 def _read(obj, table, where):
     if not isinstance(obj, dict):
-        raise InstanceError(f"{where}: expected an object, got {obj!r}")
+        raise InstanceError(f"{where}: expected an object, got {_echo(obj)}")
     keys = obj.keys()
     if not keys <= table.keys:
-        raise InstanceError(f"{where}: unknown keys {sorted(keys - table.keys)}")
+        raise InstanceError(f"{where}: unknown keys {_echo(sorted(keys - table.keys))}")
     if not keys >= table.required:
         raise InstanceError(f"{where}: missing keys {sorted(table.required - keys)}")
     values = {}
-    for key, read, default, attr in table.reads:
+    for key, read, _, default, attr in table.fields:
         value = obj.get(key, default)
         values[attr] = value if value is default else read(value, where, key)
     if _FLAT in values:
@@ -337,7 +343,7 @@ def _read(obj, table, where):
 
 def _write(record, table):
     out = {}
-    for key, write, default, attr in table.writes:
+    for key, _, write, default, attr in table.fields:
         value = record if attr is _FLAT else getattr(record, attr)
         if default is _REQUIRED or value != default:
             out[key] = value if write is None else write(value)
@@ -348,7 +354,7 @@ def _typed(kind, noun):
     """Reader of a value of type ``kind``; a boolean is not an integer."""
     def read(value, where, key):
         if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise InstanceError(f"{where}: {key} must be {noun}, got {value!r}")
+            raise InstanceError(f"{where}: {key} must be {noun}, got {_echo(value)}")
         return value
     return read
 
@@ -368,11 +374,12 @@ def _cost(value, where, key):
     """An exact cost whose numerator and denominator the writers can print: of
     at most ``sys.get_int_max_str_digits()`` digits each (0: no limit)."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InstanceError(f"{where}: costs must be integers or 'p/q' strings, got {value!r}")
+        raise InstanceError(f"{where}: costs must be integers or 'p/q' strings, "
+                            f"got {_echo(value)}")
     try:
         cost = Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InstanceError(f"{where}: bad rational {value!r}") from exc
+        raise InstanceError(f"{where}: bad rational {_echo(value)}") from exc
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # from Python 3.10.7
     num, den = (value, 1) if isinstance(value, int) else cost.as_integer_ratio()
     big = max(abs(num), den)  # 10**limit has more than 3 * limit bits
@@ -387,9 +394,10 @@ def _total(value, where, key):
 
 
 def _list_of(table):
-    """Reader of a list of ``table`` records; item i is located at ``key[i]``."""
-    return lambda value, where, key: tuple(_read(item, table, f"{key}[{i}]")
-                                           for i, item in enumerate(_list(value, where, key)))
+    """Reader and writer of a list of ``table`` records; item i reads located at ``key[i]``."""
+    return (lambda value, where, key: tuple(_read(item, table, f"{key}[{i}]")
+                                            for i, item in enumerate(_list(value, where, key))),
+            lambda records: [_write(record, table) for record in records])
 
 
 _Headway = namedtuple("_Headway", "frm to v1 v2 m")  # one HeadwayTable entry
@@ -414,15 +422,15 @@ _TRAIN = _Table(TrainRequest,
 _CONNECTION = _Table(ConnectionRequirement,
                      _Field("station", _str), _Field("feeder", _str), _Field("connecting", _str))
 _SCENARIO = _Table(Scenario, _Field("id", _str), _Field("train_ids", _strings, list))
-# written by instance_to_dict, which keeps even the defaults of this level
+# the fields of an Instance and of its network (instance_from_dict, instance_to_dict)
 _INSTANCE = _Table(dict,
-                   _Field("nodes", _list_of(_NODE)), _Field("arcs", _list_of(_ARC)),
-                   _Field("trains", _list_of(_TRAIN)),
-                   _Field("connections", _list_of(_CONNECTION), default=()),
-                   _Field("scenarios", _list_of(_SCENARIO), default=()),
+                   _Field("nodes", *_list_of(_NODE)), _Field("arcs", *_list_of(_ARC)),
+                   _Field("trains", *_list_of(_TRAIN)),
+                   _Field("connections", *_list_of(_CONNECTION), default=()),
+                   _Field("scenarios", *_list_of(_SCENARIO), default=()),
                    _Field("horizon", _int), _Field("capacity_window", _int),
                    _Field("headway_default", _int, default=0),
-                   _Field("headways", _list_of(_HEADWAY), default=()),
+                   _Field("headways", *_list_of(_HEADWAY), default=()),
                    _Field("allow_dwell", _bool, default=True))
 
 
@@ -430,7 +438,7 @@ def _arc_pairs(value, where, key):
     for i, pair in enumerate(_list(value, where, key)):
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(end, str) for end in pair)):
-            raise InstanceError(f"{key}[{i}]: expected [from, to] node names, got {pair!r}")
+            raise InstanceError(f"{key}[{i}]: expected [from, to] node names, got {_echo(pair)}")
     return tuple(tuple(pair) for pair in value)
 
 
@@ -440,7 +448,7 @@ _STEP = _Table(RoutedStep, _Field("from", _str, attr="frm"), _Field("to", _str),
 
 def _routes(value, where, key):
     if not isinstance(value, dict):
-        raise InstanceError(f"{key}: expected an object, got {value!r}")
+        raise InstanceError(f"{key}: expected an object, got {_echo(value)}")
     return {train: tuple(_read(step, _STEP, f"{key}[{train}][{i}]")
                          for i, step in enumerate(_list(steps, key, train)))
             for train, steps in value.items()}
@@ -474,45 +482,38 @@ def instance_from_dict(data: dict) -> Instance:
 
 def instance_to_dict(inst: Instance) -> dict:
     net = inst.network
-    data = {
-        "nodes": [_write(n, _NODE) for n in net.nodes],
-        "arcs": [_write(a, _ARC) for a in net.arcs],
-        "trains": [_write(t, _TRAIN) for t in inst.trains],
-        "connections": [_write(c, _CONNECTION) for c in inst.connections],
-        "scenarios": [_write(s, _SCENARIO) for s in inst.scenarios],
-        "horizon": inst.horizon,
-        "capacity_window": inst.capacity_window,
-        "headway_default": net.headways.default,
-        "headways": [_write(_Headway(*k, m), _HEADWAY)
-                     for k, m in sorted(net.headways.entries.items())],
-    }
-    if not inst.allow_dwell:
-        data["allow_dwell"] = False
-    return data
+    # a tuple, since a list differs from the default () even when empty
+    headways = tuple(_Headway(*key, m) for key, m in sorted(net.headways.entries.items()))
+    return _write(SimpleNamespace(**vars(inst), nodes=net.nodes, arcs=net.arcs,
+                                  headway_default=net.headways.default, headways=headways),
+                  _INSTANCE)
 
 
 def _load_json(path):
-    """The JSON value of a UTF-8 file; InstanceError when it is not one."""
+    """The JSON object of a UTF-8 file; InstanceError when it is not one."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except UnicodeDecodeError as exc:
             raise InstanceError(f"{path}: not UTF-8 text: {exc}") from exc
         except ValueError as exc:  # bad syntax, or an integer past Python's digit limit
             raise InstanceError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InstanceError(f"{path}: top level must be an object")
+    return data
+
+
+def _save_json(data, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 def load_instance(path) -> Instance:
-    data = _load_json(path)
-    if not isinstance(data, dict):
-        raise InstanceError(f"{path}: top level must be an object")
-    return instance_from_dict(data)
+    return instance_from_dict(_load_json(path))
 
 
 def save_instance(inst: Instance, path):
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
+    _save_json(instance_to_dict(inst), path)
 
 
 def solution_to_dict(sol: Solution) -> dict:
@@ -528,6 +529,4 @@ def load_solution(path) -> Solution:
 
 
 def save_solution(sol: Solution, path):
-    with open(path, "w") as fh:
-        json.dump(solution_to_dict(sol), fh, indent=2)
-        fh.write("\n")
+    _save_json(solution_to_dict(sol), path)

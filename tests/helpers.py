@@ -217,9 +217,11 @@ def parse_lp(text: str):
     """Parse the exported format back into a comparable structure.
 
     Returns (objective terms, objective constant, rows, binaries) where rows
-    is a list of (name, terms dict, sense, rhs).
+    is a list of (name, terms dict, sense, rhs).  The objective is divided by
+    the scale that a ``\\ objective scaled by d`` header line names.
     """
     section = None
+    scale = 1
     objective_tokens = []
     rows = []
     binaries = []
@@ -246,6 +248,9 @@ def parse_lp(text: str):
         current_row = None
 
     for raw in text.splitlines():
+        header = re.fullmatch(r"\\ objective scaled by (\d+)", raw)
+        if header and section is None:
+            scale = int(header.group(1))
         line = raw.split("\\")[0].strip()
         if not line:
             continue
@@ -279,7 +284,7 @@ def parse_lp(text: str):
     if objective_tokens and objective_tokens[:2] == ["obj", ":"]:
         objective_tokens = objective_tokens[2:]
     obj_terms, obj_const = _parse_terms(objective_tokens)
-    return obj_terms, obj_const, rows, binaries
+    return {k: v / scale for k, v in obj_terms.items()}, obj_const / scale, rows, binaries
 
 
 def system_signature(system):

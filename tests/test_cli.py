@@ -204,6 +204,21 @@ def test_a_cost_past_the_digit_limit_exits_1(tmp_path, capsys, value):
         assert out.out == "", argv
 
 
+@pytest.mark.parametrize("arc", [{"expansion_cost": "1" * 5000}, [1] * 3000],
+                         ids=["long-cost", "long-list"])
+def test_a_long_bad_value_is_echoed_cut_short(tmp_path, capsys, arc):
+    # a cost string of 5000 digits, and an arc that is a list of 3000 ints
+    data = json.loads((DATA / "bunched_corridor.json").read_text())
+    data["arcs"][0] = dict(data["arcs"][0], **arc) if isinstance(arc, dict) else arc
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["solve", str(path)]) == 1
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: arcs[0]: "), out.err[:300]
+    assert len(lines[0]) < 200 and lines[0].endswith("…"), lines[0]
+
+
 def test_solve_invalid_instance(tmp_path, capsys):
     inst = line_instance(c=1, ce=0, k=0, n_trains=1)
     data = json.loads(Path(write(tmp_path, inst)).read_text())

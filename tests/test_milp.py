@@ -13,7 +13,7 @@ from helpers import (LpParseError, bunched_line_instance, corridor_instance,
                      walk_oracle)
 from raildesign import milp, reduction
 from raildesign.model import (ConnectionRequirement, HeadwayTable, Instance,
-                              Scenario, Solution, validate_instance)
+                              Scenario, Solution, load_instance, validate_instance)
 from raildesign.solver_bb import solve
 from raildesign.verify import verify
 
@@ -649,6 +649,53 @@ def test_export_empty_system():
     text = milp.export_lp(milp.ConstraintSystem())
     obj, const, rows, binaries = parse_lp(text)
     assert obj == {} and const == 0 and rows == [] and binaries == []
+
+
+def test_export_writes_each_row_and_the_objective_in_whole_numbers():
+    # a row times the lcm of its denominators is the same row; the objective's
+    # factor is named in the header, and an all-integer export has no header
+    system = milp.ConstraintSystem(
+        var_names=["x", "y"], objective=[(0, Fraction(1, 2)), (1, Fraction(-2, 3))],
+        objective_constant=Fraction(1, 4),
+        rows=[milp.LinearRow([(0, Fraction(1, 2)), (1, Fraction(1, 3))], "<=",
+                             Fraction(5, 6), "r"),
+              milp.LinearRow([(0, 2), (1, 4)], ">=", 2, "s")])
+    assert milp.export_lp(system).splitlines()[:7] == [
+        "\\ raildesign LP export", "\\ objective scaled by 12", "Minimize",
+        " obj: 6 x - 8 y + 3", "Subject To", " r: 3 x + 2 y <= 5", " s: 2 x + 4 y >= 2"]
+    round_trip(dataclasses.replace(system, rows=system.rows[1:]))
+    assert "scaled" not in milp.export_lp(dataclasses.replace(system, objective=[(0, 3)],
+                                                              objective_constant=Fraction(0)))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")
+                                        if "solution" not in p.stem))
+def test_highs_reads_each_export_to_the_same_optimum(tmp_path, name):
+    # HiGHS's LP reader rejects fractions such as 7/2; the export's optimum,
+    # divided by the objective's scale, is the solver's
+    highs = pytest.importorskip("scipy.optimize._highspy._core")
+    inst = load_instance(DATA / f"{name}.json")
+    if any(arc.multiplicity > 1 for arc in inst.network.arcs):
+        with pytest.raises(milp.BuildError):  # the full model takes no multi-arc
+            milp.build(inst)
+        return
+    system = milp.build(inst)
+    text = milp.export_lp(system)
+    header = re.search(r"^\\ objective scaled by (\d+)$", text, re.M)
+    scale = int(header.group(1)) if header else 1
+    (tmp_path / "m.lp").write_text(text)
+    h = highs._Highs()
+    h.setOptionValue("output_flag", False)
+    assert h.readModel(str(tmp_path / "m.lp")) == highs.HighsStatus.kOk
+    h.run()
+    res = solve(system)
+    if res.status == "infeasible":
+        assert h.getModelStatus() == highs.HighsModelStatus.kInfeasible
+    else:
+        assert h.getModelStatus() == highs.HighsModelStatus.kOptimal
+        value = h.getInfo().objective_function_value
+        assert abs(value - round(value)) < 1e-6
+        assert Fraction(round(value), scale) == res.objective
 
 
 def round_trip(system):

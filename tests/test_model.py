@@ -351,8 +351,9 @@ def test_load_instance_bad_json(tmp_path):
     with pytest.raises(InstanceError, match="not valid JSON"):
         load_instance(p)
     p.write_text("[1, 2]")
-    with pytest.raises(InstanceError, match="top level"):
-        load_instance(p)
+    for load in (load_instance, load_solution):  # one loader checks every file
+        with pytest.raises(InstanceError, match=re.escape(f"{p}: top level must be an object")):
+            load(p)
 
 
 @pytest.mark.parametrize("where, patch", [

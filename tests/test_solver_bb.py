@@ -662,6 +662,34 @@ def random_systems(draw):
     return sys
 
 
+POSITIVE = st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4)
+
+
+@st.composite
+def fractional_systems(draw):
+    """Cover rows (>=) under positive costs, or packing rows (<=) under
+    negative ones, each with positive coefficients and a right-hand side
+    strictly between 0 and their sum: x = 1, or x = 0, is feasible, and the
+    root LP is seldom whole."""
+    cover = draw(st.booleans())
+    sys = ConstraintSystem()
+    n = draw(st.integers(2, 6))
+    for v in range(n):
+        sys.add_var(VarMeaning(draw(st.sampled_from(["expand", "route"])), arc_index=v),
+                    f"x{v}")
+        cost = draw(POSITIVE)
+        sys.objective.append((v, cost if cover else -cost))
+    sys.objective_constant = draw(RATIONALS)
+    for r in range(draw(st.integers(1, 4))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+        terms = [(v, draw(POSITIVE)) for v in cols]
+        share = draw(st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8),
+                                  max_denominator=8))
+        sys.rows.append(LinearRow(terms, ">=" if cover else "<=",
+                                  share * sum(c for _v, c in terms), f"r{r}"))
+    return sys
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(random_systems())
@@ -679,7 +707,7 @@ def units_of(value, system):
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(random_systems(), st.integers(1, 3))
+@given(fractional_systems(), st.integers(1, 3))
 def test_a_limit_bound_is_a_whole_number_of_units_below_the_optimum(bound_mode, system,
                                                                     limit):
     res = solve(system, SolveLimits(node_limit=limit))

@@ -80,6 +80,12 @@ def cmd_solve(args):
     except polycases.UnsupportedInstance as exc:
         print(f"error: mode {args.mode}: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    # every solver's answer is judged by verify; one it rejects is not reported
+    violations = verify_mod.verify(inst, sol) if sol is not None else []
+    if violations:
+        v = violations[0]
+        print(f"error: the answer fails verify: {v.family}: {v.detail}", file=sys.stderr)
+        return EXIT_INPUT
     if status == "optimal":
         print(f"status: optimal")
         print(f"objective: {cost_to_json(sol.objective_value)}")

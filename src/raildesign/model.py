@@ -44,7 +44,9 @@ class Arc:
 
 @dataclass(frozen=True)
 class HeadwayTable:
-    """Minimum departure separations per (arc, leading train, following train)."""
+    """Minimum departure gaps per (arc, leading train, following train).  A
+    headway separates two distinct trains; an entry that names one train
+    twice is a validation error."""
 
     entries: dict = field(default_factory=dict)  # (frm, to, v1, v2) -> int
     default: int = 0
@@ -146,44 +148,47 @@ def validate_instance(inst: Instance) -> ValidationReport:
     """Check every structural invariant; violations are data, not exceptions."""
     errors = []
 
-    def err(code, message, location):
-        errors.append(ValidationIssue(code, message, location))
+    def err(code, message, where, *ids):
+        # each id is cut and the location formatted only when an error is reported
+        errors.append(ValidationIssue(code, message, where.format(*(_cut(str(i)) for i in ids))))
 
     net = inst.network
     node_ids = set()
     for n in net.nodes:
         if n.id in node_ids:
-            err("NODE_DUP", f"duplicate node id {n.id!r}", f"node {n.id}")
+            err("NODE_DUP", f"duplicate node id {_echo(n.id)}", "node {}", n.id)
         node_ids.add(n.id)
 
     seen_arcs = set()
     for a in net.arcs:
-        loc = f"arc {a.frm}->{a.to}"
+        loc = ("arc {}->{}", a.frm, a.to)
         if a.frm not in node_ids or a.to not in node_ids:
-            err("ARC_ENDPOINT", "arc endpoint is not a declared node", loc)
+            err("ARC_ENDPOINT", "arc endpoint is not a declared node", *loc)
         if a.frm == a.to:
-            err("ARC_SELF_LOOP", "self-loop arcs are not allowed", loc)
+            err("ARC_SELF_LOOP", "self-loop arcs are not allowed", *loc)
         if a.key in seen_arcs:
-            err("ARC_DUP", "more than one arc for this ordered node pair", loc)
+            err("ARC_DUP", "more than one arc for this ordered node pair", *loc)
         seen_arcs.add(a.key)
         if a.travel_time < 1:
-            err("ARC_TRAVEL_TIME", f"travel_time must be >= 1, got {a.travel_time}", loc)
+            err("ARC_TRAVEL_TIME", f"travel_time must be >= 1, got {a.travel_time}", *loc)
         if a.capacity < 0 or a.expandable_capacity < 0:
-            err("ARC_CAPACITY", "capacities must be non-negative", loc)
+            err("ARC_CAPACITY", "capacities must be non-negative", *loc)
         if a.expansion_cost < 0:
-            err("ARC_COST", "expansion_cost must be non-negative", loc)
+            err("ARC_COST", "expansion_cost must be non-negative", *loc)
         if a.multiplicity < 1:
-            err("ARC_MULTIPLICITY", "multiplicity must be >= 1", loc)
+            err("ARC_MULTIPLICITY", "multiplicity must be >= 1", *loc)
 
     by_id = {t.id: t for t in inst.trains}
     for (frm, to, v1, v2), m in net.headways.entries.items():
-        loc = f"headway {frm}->{to} {v1}/{v2}"
+        loc = ("headway {}->{} {}/{}", frm, to, v1, v2)
         if (frm, to) not in seen_arcs:
-            err("HEADWAY_REF", "headway names an undeclared arc", loc)
+            err("HEADWAY_REF", "headway names an undeclared arc", *loc)
         if v1 not in by_id or v2 not in by_id:
-            err("HEADWAY_REF", "headway names an undeclared train", loc)
+            err("HEADWAY_REF", "headway names an undeclared train", *loc)
+        elif v1 == v2:  # a headway separates a train from another one ahead of it
+            err("HEADWAY_REF", "headway names one train as both leading and following", *loc)
         if m < 0:
-            err("HEADWAY_NEGATIVE", "headway must be non-negative", loc)
+            err("HEADWAY_NEGATIVE", "headway must be non-negative", *loc)
     if net.headways.default < 0:
         err("HEADWAY_NEGATIVE", "default headway must be non-negative", "headway default")
 
@@ -196,72 +201,75 @@ def validate_instance(inst: Instance) -> ValidationReport:
 
     train_ids = set()
     for t in inst.trains:
-        loc = f"train {t.id}"
+        loc = ("train {}", t.id)
         if t.id in train_ids:
-            err("TRAIN_DUP", f"duplicate train id {t.id!r}", loc)
+            err("TRAIN_DUP", f"duplicate train id {_echo(t.id)}", *loc)
         train_ids.add(t.id)
         if t.origin not in node_ids or t.destination not in node_ids:
-            err("TRAIN_ENDPOINT", "origin/destination is not a declared node", loc)
+            err("TRAIN_ENDPOINT", "origin/destination is not a declared node", *loc)
         if t.origin == t.destination:
-            err("TRAIN_SAME_ENDPOINTS", "origin equals destination", loc)
+            err("TRAIN_SAME_ENDPOINTS", "origin equals destination", *loc)
         if t.earliest_departure > t.latest_arrival:
-            err("TRAIN_WINDOW", "earliest_departure exceeds latest_arrival", loc)
+            err("TRAIN_WINDOW", "earliest_departure exceeds latest_arrival", *loc)
         if t.earliest_departure < 0:
-            err("TRAIN_WINDOW", "earliest_departure must be >= 0", loc)
+            err("TRAIN_WINDOW", "earliest_departure must be >= 0", *loc)
         for v in t.via_nodes:
             if v not in node_ids:
-                err("VIA_UNKNOWN", f"via node {v!r} is not declared", loc)
+                err("VIA_UNKNOWN", f"via node {_echo(v)} is not declared", *loc)
             if v in (t.origin, t.destination):
-                err("VIA_AT_TERMINUS", f"via node {v!r} equals origin or destination", loc)
+                err("VIA_AT_TERMINUS", f"via node {_echo(v)} equals origin or destination", *loc)
         if t.optional and t.penalty is None:
-            err("PENALTY_FLAG", "optional train needs a penalty", loc)
+            err("PENALTY_FLAG", "optional train needs a penalty", *loc)
         if not t.optional and t.penalty is not None:
-            err("PENALTY_FLAG", "penalty given for a non-optional train", loc)
+            err("PENALTY_FLAG", "penalty given for a non-optional train", *loc)
         if t.penalty is not None and t.penalty < 0:
-            err("PENALTY_FLAG", "penalty must be non-negative", loc)
+            err("PENALTY_FLAG", "penalty must be non-negative", *loc)
 
     for c in inst.connections:
-        loc = f"connection {c.station} {c.feeder}->{c.connecting}"
+        loc = ("connection {} {}->{}", c.station, c.feeder, c.connecting)
         if c.feeder == c.connecting:
-            err("CONN_SELF", "feeder and connecting train must differ", loc)
+            err("CONN_SELF", "feeder and connecting train must differ", *loc)
         if c.station not in node_ids:
-            err("CONN_REF", "connection station is not declared", loc)
+            err("CONN_REF", "connection station is not declared", *loc)
         for tid in (c.feeder, c.connecting):
             if tid not in by_id:
-                err("CONN_REF", f"connection names unknown train {tid!r}", loc)
+                err("CONN_REF", f"connection names unknown train {_echo(tid)}", *loc)
             elif by_id[tid].optional:
-                err("CONN_OPTIONAL", f"connections are restricted to non-optional trains ({tid})", loc)
+                err("CONN_OPTIONAL",
+                    f"connections are restricted to non-optional trains ({_cut(tid)})", *loc)
         feeder = by_id.get(c.feeder)
         connecting = by_id.get(c.connecting)
         if feeder is not None and c.station == feeder.origin:
-            err("CONN_PLACEMENT", "station is the feeder's origin", loc)
+            err("CONN_PLACEMENT", "station is the feeder's origin", *loc)
         if connecting is not None and c.station == connecting.destination:
-            err("CONN_PLACEMENT", "station is the connecting train's destination", loc)
+            err("CONN_PLACEMENT", "station is the connecting train's destination", *loc)
 
     # VIA on optional trains is rejected like connections.
     for t in inst.trains:
         if t.optional and t.via_nodes:
-            err("VIA_OPTIONAL", "VIA nodes are restricted to non-optional trains", f"train {t.id}")
+            err("VIA_OPTIONAL", "VIA nodes are restricted to non-optional trains",
+                "train {}", t.id)
 
     covered, scenario_ids = set(), set()
     for s in inst.scenarios:
-        loc = f"scenario {s.id}"
+        loc = ("scenario {}", s.id)
         if s.id in scenario_ids:
-            err("SCENARIO_ID_DUP", f"duplicate scenario id {s.id!r}", loc)
+            err("SCENARIO_ID_DUP", f"duplicate scenario id {_echo(s.id)}", *loc)
         scenario_ids.add(s.id)
         if not s.train_ids:
-            err("SCENARIO_EMPTY", "scenario has no trains", loc)
+            err("SCENARIO_EMPTY", "scenario has no trains", *loc)
         listed = set()
         for tid in s.train_ids:
             if tid not in train_ids:
-                err("SCENARIO_REF", f"scenario names unknown train {tid!r}", loc)
+                err("SCENARIO_REF", f"scenario names unknown train {_echo(tid)}", *loc)
             if tid in listed:
-                err("SCENARIO_DUP", f"scenario lists train {tid!r} more than once", loc)
+                err("SCENARIO_DUP", f"scenario lists train {_echo(tid)} more than once", *loc)
             listed.add(tid)
         covered |= listed
     if inst.scenarios:
         for tid in sorted(train_ids - covered):
-            err("SCENARIO_COVERAGE", f"train {tid!r} appears in no scenario", f"train {tid}")
+            err("SCENARIO_COVERAGE", f"train {_echo(tid)} appears in no scenario",
+                "train {}", tid)
 
     return ValidationReport(errors=tuple(errors))
 
@@ -318,10 +326,14 @@ class _Table:
         self.required = frozenset(f.key for f in fields if f.default is _REQUIRED)
 
 
-def _echo(value):
-    """``repr(value)``, cut to 60 characters ending in … when longer."""
-    text = repr(value)
+def _cut(text):
+    """``text``, cut to 60 characters ending in … when longer."""
     return text if len(text) <= 60 else text[:59] + "…"
+
+
+def _echo(value):
+    """``repr(value)``, cut to 60 characters."""
+    return _cut(repr(value))
 
 
 def _read(obj, table, where):
@@ -449,8 +461,8 @@ _STEP = _Table(RoutedStep, _Field("from", _str, attr="frm"), _Field("to", _str),
 def _routes(value, where, key):
     if not isinstance(value, dict):
         raise InstanceError(f"{key}: expected an object, got {_echo(value)}")
-    return {train: tuple(_read(step, _STEP, f"{key}[{train}][{i}]")
-                         for i, step in enumerate(_list(steps, key, train)))
+    return {train: tuple(_read(step, _STEP, f"{key}[{_cut(train)}][{i}]")
+                         for i, step in enumerate(_list(steps, key, _cut(train))))
             for train, steps in value.items()}
 
 
@@ -472,8 +484,8 @@ def instance_from_dict(data: dict) -> Instance:
     entries = {}
     for i, h in enumerate(top.pop("headways")):
         if h[:4] in entries:  # a second M for one key would overwrite the first unseen
-            raise InstanceError(f"headways[{i}]: repeats the headway "
-                                f"{h.frm}->{h.to} {h.v1}/{h.v2}")
+            raise InstanceError(f"headways[{i}]: repeats the headway {_cut(h.frm)}->"
+                                f"{_cut(h.to)} {_cut(h.v1)}/{_cut(h.v2)}")
         entries[h[:4]] = h.m
     headways = HeadwayTable(entries=entries, default=top.pop("headway_default"))
     network = Network(nodes=top.pop("nodes"), arcs=top.pop("arcs"), headways=headways)

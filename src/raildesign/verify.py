@@ -144,7 +144,7 @@ def verify(instance, solution) -> list:
                     break
             for i, (t1, v1) in enumerate(deps):
                 for t2, v2 in deps[i + 1:]:
-                    if t1 == t2:
+                    if t1 == t2 or v1 == v2:  # a headway keeps a train from another one
                         continue
                     m = net.headways.get(key[0], key[1], v1, v2)
                     if t2 - t1 < m:

@@ -219,6 +219,68 @@ def test_a_long_bad_value_is_echoed_cut_short(tmp_path, capsys, arc):
     assert len(lines[0]) < 200 and lines[0].endswith("…"), lines[0]
 
 
+@pytest.mark.parametrize("table", ["nodes", "headways", "routes"])
+def test_a_long_id_is_echoed_cut_short(tmp_path, capsys, table):
+    # an id of 3000 characters: a node declared twice, a headway given twice
+    # for a train of that id, and a solution's route of that name that is no
+    # list; each is named in one error line
+    data = json.loads((DATA / "bunched_corridor.json").read_text())
+    long, path = "N" * 3000, tmp_path / "long.json"
+    argv, start = ["solve", str(path)], "error: NODE_DUP: "
+    if table == "nodes":
+        data["nodes"] += [{"id": long}, {"id": long}]
+    elif table == "headways":
+        data["trains"][0]["id"] = long
+        data["headways"] = 2 * [{"from": "S0", "to": "S1", "v1": long,
+                                 "v2": data["trains"][1]["id"], "M": 1}]
+        start = "error: headways[1]: repeats the headway "
+    else:
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"expanded_arcs": [], "routes": {long: 5},
+                                   "objective_value": 0, "cost_breakdown": {
+                                       "expansion_cost_total": 0, "penalty_total": 0}}))
+        argv, start = ["verify", str(path), str(sol)], "error: routes: "
+    path.write_text(json.dumps(data))
+    assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start), out.err[:300]
+    assert len(lines[0]) < 200 and "…" in lines[0], lines[0]
+
+
+def test_a_headway_of_a_train_with_itself_is_an_input_error(tmp_path, capsys):
+    # no row could keep a train from itself, so the entry would be misread
+    data = json.loads((DATA / "bunched_corridor.json").read_text())
+    tid = data["trains"][0]["id"]
+    data["headways"] = [{"from": "S0", "to": "S1", "v1": tid, "v2": tid, "M": 2}]
+    path = tmp_path / "self.json"
+    path.write_text(json.dumps(data))
+    assert cli.main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: HEADWAY_REF: headway names one train as both leading and following "
+        f"(headway S0->S1 {tid}/{tid})\n")
+
+
+@pytest.mark.parametrize("mode", ["arborescence", "sp", "milp"])
+def test_solve_reports_no_answer_that_verify_rejects(tmp_path, capsys, monkeypatch, mode):
+    # each solver, made to forget the expansion that carries the second
+    # train: solve names the first violation, and reports and writes nothing
+    def forgetful(solver):
+        return lambda inst, *args: dataclasses.replace(solver(inst, *args), expanded_arcs=())
+
+    if mode == "milp":
+        monkeypatch.setattr(solver_bb, "extract_solution", forgetful(solver_bb.extract_solution))
+    else:
+        monkeypatch.setitem(cli._MODES, mode, tuple(map(forgetful, cli._MODES[mode])))
+    path = write(tmp_path, line_instance(c=1, ce=1, k=4, n_trains=2, horizon=1, dwell=False))
+    sol = tmp_path / "sol.json"
+    assert cli.main(["solve", path, "--mode", mode, "-o", str(sol)]) == 1
+    out = capsys.readouterr()
+    assert out.err == ("error: the answer fails verify: capacity: arc A->B scenario all: "
+                       "2 departures in window [0,1) exceed 1\n")
+    assert "status: optimal" not in out.out and not sol.exists()
+
+
 def test_solve_invalid_instance(tmp_path, capsys):
     inst = line_instance(c=1, ce=0, k=0, n_trains=1)
     data = json.loads(Path(write(tmp_path, inst)).read_text())
